@@ -3,8 +3,8 @@ package engine_test
 // Unit tests for the malleability layer: shrink under FailShrink (with the
 // work-conservation arithmetic and the requeue fallback), grow into freed
 // capacity, priority preemption with checkpoint-requeue, deadline admission
-// verdicts, the PartitionFinder verify guard, and the deprecated
-// shrink-none alias.
+// verdicts, the PartitionFinder verify guard, and the rejection of the
+// retired shrink-none spelling.
 
 import (
 	"math"
@@ -352,14 +352,13 @@ func TestElasticMovesConsultVerifiedPartitions(t *testing.T) {
 }
 
 func TestFailShrinkDeprecatedAlias(t *testing.T) {
-	if engine.FailShrinkNone != engine.FailShrink {
-		t.Fatal("FailShrinkNone is not an alias of FailShrink")
+	p, err := engine.ParseFailurePolicy("shrink")
+	if err != nil || p != engine.FailShrink {
+		t.Fatalf("ParseFailurePolicy(\"shrink\") = %v, %v", p, err)
 	}
-	for _, name := range []string{"shrink", "shrink-none"} {
-		p, err := engine.ParseFailurePolicy(name)
-		if err != nil || p != engine.FailShrink {
-			t.Fatalf("ParseFailurePolicy(%q) = %v, %v", name, p, err)
-		}
+	// The retired placeholder spelling is no longer accepted.
+	if _, err := engine.ParseFailurePolicy("shrink-none"); err == nil {
+		t.Fatal("ParseFailurePolicy accepted the retired \"shrink-none\" alias")
 	}
 	if got := engine.FailShrink.String(); got != "shrink" {
 		t.Fatalf("FailShrink.String() = %q, want \"shrink\"", got)

@@ -59,7 +59,11 @@ func genTrace(rng *rand.Rand, tree *topology.FatTree, n int) []traceItem {
 	items := make([]traceItem, 0, n)
 	now := 0.0
 	var submitted []int64
-	nextExplicit := int64(100000) // explicit IDs interleave with auto-assigned
+	// IDs follow the server gateway's rule: auto IDs continue from the
+	// high-water mark, explicit IDs raise it. Explicit IDs interleave with
+	// auto ones and sometimes collide with them (the duplicate path).
+	var lastID int64
+	nextExplicit := int64(100000)
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(10); {
 		case r < 6:
@@ -75,12 +79,12 @@ func genTrace(rng *rand.Rand, tree *topology.FatTree, n int) []traceItem {
 			case 1:
 				j.Size = tree.Nodes() + 1 // rejection path
 			}
-			items = append(items, traceItem{op: &ingest.Op{Kind: ingest.Submit, Job: j}})
-			if j.ID != 0 {
-				submitted = append(submitted, j.ID)
-			} else {
-				submitted = append(submitted, int64(len(submitted)+1)) // approximate auto ID
+			if j.ID == 0 {
+				j.ID = lastID + 1
 			}
+			lastID = max(lastID, j.ID)
+			items = append(items, traceItem{op: &ingest.Op{Kind: ingest.Submit, Job: j}})
+			submitted = append(submitted, j.ID)
 		case r < 8 && len(submitted) > 0:
 			items = append(items, traceItem{op: &ingest.Op{
 				Kind: ingest.Cancel, ID: submitted[rng.Intn(len(submitted))],
@@ -137,10 +141,9 @@ func runBatchedVsSerial(t *testing.T, policy string, seed int64, tree *topology.
 
 	// Serial reference: one op per apply, advances inline.
 	es := mkEngine(t, policy, tree)
-	as := ingest.NewApplier(es)
 	for _, it := range serialItems {
 		if it.op != nil {
-			as.Apply(it.op)
+			ingest.Apply(es, it.op)
 		} else {
 			es.AdvanceTo(it.advance)
 		}
@@ -150,7 +153,6 @@ func runBatchedVsSerial(t *testing.T, policy string, seed int64, tree *topology.
 	// randomly-bounded batches; advances land between drains exactly where
 	// the serial side advanced.
 	eb := mkEngine(t, policy, tree)
-	ab := ingest.NewApplier(eb)
 	b := ingest.NewBatcher(512, 1+rng.Intn(32))
 	var buf []*ingest.Op
 	flush := func() {
@@ -159,7 +161,7 @@ func runBatchedVsSerial(t *testing.T, policy string, seed int64, tree *topology.
 			case first := <-b.C():
 				buf = b.Collect(first, buf)
 				for _, op := range buf {
-					ab.Apply(op)
+					ingest.Apply(eb, op)
 					op.Finish()
 				}
 			default:
@@ -182,7 +184,7 @@ func runBatchedVsSerial(t *testing.T, policy string, seed int64, tree *topology.
 	}
 	flush()
 
-	// Per-op results must agree (status, error-ness, assigned IDs)…
+	// Per-op results must agree (status, error-ness, IDs)…
 	for i := range items {
 		bo, so := items[i].op, serialItems[i].op
 		if bo == nil {

@@ -1,7 +1,7 @@
 // Package ingest is the concurrent front door of the daemon: a bounded
 // multi-producer/single-consumer batching queue between the HTTP goroutines
-// and the engine goroutine, plus the applier that replays queued operations
-// on the engine with semantics identical to one-at-a-time submission.
+// and the engine goroutine, plus Apply, which replays queued operations on
+// the engine with semantics identical to one-at-a-time submission.
 //
 // # Why batching
 //
@@ -57,12 +57,12 @@ const (
 )
 
 // Op is one queued mutation and its result slot. The producer fills Kind
-// and the payload, enqueues, and waits on the Batch; the applier fills the
+// and the payload, enqueues, and waits on the Batch; Apply fills the
 // result fields before the batcher's owner finishes the op. The Batch.Wait
 // return is the happens-before edge that makes the results readable.
 type Op struct {
 	Kind Kind
-	Job  trace.Job // Submit payload; ID 0 auto-assigns the next free ID
+	Job  trace.Job // Submit payload, ID already assigned
 	ID   int64     // Cancel target
 
 	// EnqueuedAt, set by the producer, lets the consumer report how long
@@ -231,46 +231,28 @@ func (b *Batcher) Cap() int { return cap(b.ops) }
 // MaxBatch returns the per-drain batch bound.
 func (b *Batcher) MaxBatch() int { return b.maxBatch }
 
-// Applier replays ops on the engine exactly as the serial HTTP path did:
-// each op is applied on its own — submit, advance to the engine's current
-// time so the response reflects the scheduling decision, read status — so a
-// trace pushed through batches of any size yields a ledger bit-for-bit
-// identical to one-at-a-time submission. Only the engine-owning goroutine
+// Apply runs one op against the engine exactly as the serial HTTP path did:
+// submit, advance to the engine's current time so the result reflects the
+// scheduling decision, read status — so a trace pushed through batches of
+// any size yields a ledger bit-for-bit identical to one-at-a-time
+// submission. Submit ops carry their job ID (the server's gateway assigns
+// it). Apply does not Finish the op; the caller does that after publishing
+// a snapshot that covers the op's effects. Only the engine-owning goroutine
 // may call it.
-type Applier struct {
-	eng    *engine.Engine
-	nextID int64
-}
-
-// NewApplier wraps an engine. IDs auto-assign from 1, skipping past any
-// explicit IDs seen, matching the serial server's assignment.
-func NewApplier(e *engine.Engine) *Applier { return &Applier{eng: e, nextID: 1} }
-
-// Apply runs one op against the engine and fills its result fields. It does
-// not Finish the op; the caller does that after publishing a snapshot that
-// covers the op's effects.
-func (a *Applier) Apply(op *Op) {
+func Apply(e *engine.Engine, op *Op) {
 	switch op.Kind {
 	case Submit:
-		j := op.Job
-		if j.ID == 0 {
-			j.ID = a.nextID
-		}
-		if op.Err = a.eng.Submit(j); op.Err != nil {
+		if op.Err = e.Submit(op.Job); op.Err != nil {
 			return
-		}
-		if j.ID >= a.nextID {
-			a.nextID = j.ID + 1
 		}
 		// Deliver every event due now so the result reflects the scheduling
 		// decision (running vs queued), like the serial handler did.
-		a.eng.AdvanceTo(a.eng.Now())
-		op.Job = j
-		op.Status, op.Known = a.eng.Status(j.ID)
+		e.AdvanceTo(e.Now())
+		op.Status, op.Known = e.Status(op.Job.ID)
 	case Cancel:
-		if op.Status, op.Known = a.eng.Status(op.ID); !op.Known {
+		if op.Status, op.Known = e.Status(op.ID); !op.Known {
 			return
 		}
-		op.Status, op.Err = a.eng.Cancel(op.ID)
+		op.Status, op.Err = e.Cancel(op.ID)
 	}
 }

@@ -7,6 +7,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,26 +122,43 @@ func TestBatchLargerThanQueueCapacityRejected(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 pins the satellite fix: when the ingest queue is full,
-// submits answer 429 with Retry-After immediately instead of blocking the
-// HTTP goroutine, and the shed load shows up in
-// jigsawd_ingest_rejected_total.
+// TestBackpressure429 pins the satellite fix: when the ingest queues are
+// full, submits answer 429 with Retry-After immediately instead of blocking
+// the HTTP goroutine, a batch none of whose items was admitted answers 429
+// too, and the shed load shows up in jigsawd_ingest_rejected_total. It runs
+// at one and two shards: the same path serves both.
 func TestBackpressure429(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testBackpressure429(t, shards)
+		})
+	}
+}
+
+func testBackpressure429(t *testing.T, shards int) {
 	s, hs := newTestServer(t, Config{
 		NowFunc:     func() float64 { return 0 },
 		IngestQueue: 2,
+		Shards:      shards,
 	})
 
-	// Park the engine goroutine inside an admin closure so nothing drains.
+	// Park every engine goroutine inside an admin closure so nothing drains.
+	// A failing check still releases them, so server cleanup cannot hang.
 	gate := make(chan struct{})
-	parked := make(chan struct{})
-	adminDone := make(chan error, 1)
-	go func() { adminDone <- s.do(func(e *engine.Engine) { close(parked); <-gate }) }()
-	<-parked
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	adminDone := make(chan error, shards)
+	for _, l := range s.lanes {
+		parked := make(chan struct{})
+		go func() { adminDone <- l.do(func(e *engine.Engine) { close(parked); <-gate }) }()
+		<-parked
+	}
 
-	// Fill the queue with two async submits; their handlers block in Wait.
-	inflight := make(chan int, 2)
-	for i := 0; i < 2; i++ {
+	// Fill every queue with two async submits per lane (auto IDs alternate
+	// lanes); their handlers block in Wait.
+	fill := 2 * shards
+	inflight := make(chan int, fill)
+	for i := 0; i < fill; i++ {
 		go func() {
 			resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
 				strings.NewReader(`{"size":1,"runtime":5}`))
@@ -153,11 +171,15 @@ func TestBackpressure429(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.batcher.Len() < 2 {
+	for queued := 0; queued < fill; {
 		if time.Now().After(deadline) {
-			t.Fatal("ingest queue never filled")
+			t.Fatal("ingest queues never filled")
 		}
 		time.Sleep(time.Millisecond)
+		queued = 0
+		for _, l := range s.lanes {
+			queued += l.batcher.Len()
+		}
 	}
 
 	// The next submit is shed, not blocked.
@@ -185,12 +207,14 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("metrics missing rejected counter:\n%s", grepLines(body, "jigsawd_ingest"))
 	}
 
-	// Unblock; the two accepted submits must complete normally.
-	close(gate)
-	if err := <-adminDone; err != nil {
-		t.Fatal(err)
+	// Unblock; the accepted submits must complete normally.
+	release()
+	for range s.lanes {
+		if err := <-adminDone; err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < fill; i++ {
 		if code := <-inflight; code != http.StatusAccepted {
 			t.Fatalf("accepted submit finished with %d", code)
 		}
@@ -354,7 +378,7 @@ func TestShutdownDrainsAcceptedWorkUnderLoad(t *testing.T) {
 				}
 				resp.Body.Close()
 				select {
-				case <-s.done:
+				case <-s.lanes[0].done:
 					return
 				default:
 				}
@@ -370,7 +394,7 @@ func TestShutdownDrainsAcceptedWorkUnderLoad(t *testing.T) {
 	// released after the snapshot covering their ops is published, and the
 	// shutdown drain applies everything already accepted, so the final view
 	// counts exactly the jobs clients saw acknowledged.
-	if got := s.pub.Load().Snap.Counts.Submitted; got != acceptedJobs.Load() {
+	if got := s.lanes[0].pub.Load().Snap.Counts.Submitted; got != acceptedJobs.Load() {
 		t.Fatalf("engine submitted %d, clients saw %d accepted", got, acceptedJobs.Load())
 	}
 	// And late requests fail cleanly.
@@ -382,7 +406,7 @@ func TestShutdownDrainsAcceptedWorkUnderLoad(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-close submit status %d, want 503", resp.StatusCode)
 	}
-	if err := s.do(func(e *engine.Engine) {}); err != ErrClosed {
+	if err := s.lanes[0].do(func(e *engine.Engine) {}); err != ErrClosed {
 		t.Fatalf("post-close do = %v, want ErrClosed", err)
 	}
 }

@@ -89,81 +89,49 @@ func (s *Server) failurePod(f topology.Failure) int {
 	}
 }
 
-// failureLane resolves the lane owning a failure's pod; the bool is false
-// for cross-cutting (spine-switch) failures.
-func (s *Server) failureLane(f topology.Failure) (*lane, bool) {
+// failureLanes returns the lanes a failure touches: the owning lane for
+// single-pod domains, every lane for spine-switch failures. Out-of-range
+// identifiers go to lane 0, whose engine produces its usual validation
+// error.
+func (s *Server) failureLanes(f topology.Failure) []*lane {
 	pod := s.failurePod(f)
 	if pod < 0 {
-		return nil, false
+		return s.lanes
 	}
 	if ci := shard.CellOf(s.cells, pod); ci >= 0 {
-		return s.lanes[ci], true
+		return s.lanes[ci : ci+1]
 	}
-	// Out-of-range identifiers: let lane 0's engine produce its usual
-	// validation error.
-	return s.lane, true
+	return s.lanes[:1]
 }
 
+// handleFail applies the failure to every lane it touches in ascending
+// order, reverting the already-applied lanes if a later one rejects it so
+// the fabric is never left partially failed.
 func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	f, ok := decodeFailure(w, r)
 	if !ok {
 		return
 	}
-	l, single := s.failureLane(f)
-	if !single && s.sharded() {
-		s.failAllLanes(w, f)
-		return
-	}
-	if !single {
-		l = s.lane
-	}
-	var rep engine.FailReport
-	var failErr error
-	err := l.do(func(e *engine.Engine) { rep, failErr = e.Fail(f) })
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if failErr != nil {
-		writeError(w, http.StatusConflict, "%v", failErr)
-		return
-	}
-	s.log.Warn("resource failed", "failure", f.String(),
-		"affected", rep.Affected, "requeued", rep.Requeued, "killed", rep.Killed, "shrunk", rep.Shrunk)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"failure":  f.String(),
-		"affected": rep.Affected,
-		"requeued": rep.Requeued,
-		"killed":   rep.Killed,
-		"shrunk":   rep.Shrunk,
-	})
-}
-
-// failAllLanes applies a spine-switch failure to every shard in ascending
-// lane order, reverting the already-applied lanes if a later one rejects it
-// so the fabric is never left partially failed.
-func (s *Server) failAllLanes(w http.ResponseWriter, f topology.Failure) {
+	lanes := s.failureLanes(f)
 	var agg engine.FailReport
-	applied := make([]*lane, 0, len(s.lanes))
-	revert := func() {
+	revert := func(applied []*lane) {
 		for _, l := range applied {
 			l.do(func(e *engine.Engine) { e.Recover(f) })
 		}
 	}
-	for _, l := range s.lanes {
+	for i, l := range lanes {
 		var rep engine.FailReport
 		var failErr error
 		if err := l.do(func(e *engine.Engine) { rep, failErr = e.Fail(f) }); err != nil {
-			revert()
+			revert(lanes[:i])
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 		if failErr != nil {
-			revert()
+			revert(lanes[:i])
 			writeError(w, http.StatusConflict, "%v", failErr)
 			return
 		}
-		applied = append(applied, l)
 		agg.Affected += rep.Affected
 		agg.Requeued += rep.Requeued
 		agg.Killed += rep.Killed
@@ -180,53 +148,21 @@ func (s *Server) failAllLanes(w http.ResponseWriter, f topology.Failure) {
 	})
 }
 
+// handleRecover undoes a failure on every lane it touches. All of them are
+// attempted (a partial recovery is strictly better than none); the first
+// rejection is reported if any lane refused.
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	f, ok := decodeFailure(w, r)
 	if !ok {
 		return
 	}
-	l, single := s.failureLane(f)
-	if !single && s.sharded() {
-		s.recoverAllLanes(w, f)
-		return
-	}
-	if !single {
-		l = s.lane
-	}
-	var recErr error
-	var degraded bool
-	err := l.do(func(e *engine.Engine) {
-		recErr = e.Recover(f)
-		degraded = e.Degraded()
-	})
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if recErr != nil {
-		writeError(w, http.StatusConflict, "%v", recErr)
-		return
-	}
-	s.log.Info("resource recovered", "failure", f.String(), "degraded", degraded)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"failure":  f.String(),
-		"degraded": degraded,
-	})
-}
-
-// recoverAllLanes undoes a spine-switch failure on every shard. All lanes
-// are attempted (a partial recovery is strictly better than none); the
-// first rejection is reported if any lane refused.
-func (s *Server) recoverAllLanes(w http.ResponseWriter, f topology.Failure) {
 	var firstErr error
 	degraded := false
-	for _, l := range s.lanes {
+	for _, l := range s.failureLanes(f) {
 		var recErr error
 		if err := l.do(func(e *engine.Engine) {
 			recErr = e.Recover(f)
-			if e.Degraded() {
-				degraded = true
-			}
+			degraded = degraded || e.Degraded()
 		}); err != nil {
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return

@@ -5,6 +5,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -40,17 +41,27 @@ func getText(t *testing.T, url string) (int, string) {
 }
 
 func TestFailRecoverEndpoints(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testFailRecoverEndpoints(t, shards)
+		})
+	}
+}
+
+func testFailRecoverEndpoints(t *testing.T, shards int) {
 	// A frozen wall clock keeps the submitted job running for the whole test
 	// (virtual mode would fast-forward it to completion between requests).
-	_, hs := newTestServer(t, Config{NowFunc: func() float64 { return 0 }})
+	_, hs := newTestServer(t, Config{NowFunc: func() float64 { return 0 }, Shards: shards})
 
 	// Healthy daemon: "ok".
 	if code, body := getText(t, hs.URL+"/healthz"); code != http.StatusOK || body != "ok\n" {
 		t.Fatalf("healthz %d %q", code, body)
 	}
 
-	// A running job on leaf 0 is requeued when the leaf switch fails.
-	if resp, _ := postJob(t, hs.URL, `{"size":2,"runtime":1e6}`); resp.StatusCode != http.StatusAccepted {
+	// A running job on leaf 0 is requeued when the leaf switch fails. Its ID
+	// is a multiple of the shard count, so it lives on lane 0.
+	body := fmt.Sprintf(`{"id":%d,"size":2,"runtime":1e6}`, shards)
+	if resp, _ := postJob(t, hs.URL, body); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
 	resp, rep := postFailure(t, hs.URL+"/v1/fail", `{"kind":"leaf-switch","leaf":0}`)

@@ -1,11 +1,9 @@
 package server
 
-// A lane is one shard's scheduling engine plus everything that used to be
-// the single-engine daemon's machinery: the owning goroutine, the bounded
-// ingest queue, the RCU snapshot publisher, and the per-lane latency
-// instruments. The Server (server.go) is a thin routing gateway over one or
-// more lanes; with one lane it degenerates to exactly the pre-shard daemon
-// (Server embeds lane 0, so the old field and method names still resolve).
+// A lane is one shard's scheduling engine plus its machinery: the owning
+// goroutine, the bounded ingest queue, the RCU snapshot publisher, and the
+// per-lane latency instruments. The Server (server.go) is a thin routing
+// gateway over one or more lanes.
 
 import (
 	"math"
@@ -40,7 +38,6 @@ type lane struct {
 	done chan struct{}
 
 	batcher *ingest.Batcher
-	applier *ingest.Applier
 	pub     *snapshot.Publisher
 	// lastPublish / publishPending / publishCost implement the deep-backlog
 	// publish throttle; engine goroutine only. See publishAfterDrain.
@@ -48,13 +45,14 @@ type lane struct {
 	publishPending bool
 	publishCost    time.Duration
 
-	// onFree, set once before the loop starts (sharded servers point it at
-	// the cross-shard coordinator's wake), is called from the engine
-	// goroutine after a publish whose snapshot shows capacity coming back:
-	// free nodes up, or failed resources down. Completions, cancels, and
-	// recoveries all publish, so every event that could unblock a waiting
-	// wide job rings the bell — and it rings only *after* the publish, so
-	// the woken coordinator's snapshot read always sees the freed capacity.
+	// onFree, set once before the loop starts (on plans that admit wide
+	// jobs, New points it at the coordinator's wake), is called from the
+	// engine goroutine after a publish whose snapshot shows capacity coming
+	// back: free nodes up, or failed resources down. Completions, cancels,
+	// and recoveries all publish, so every event that could unblock a
+	// waiting wide job rings the bell — and it rings only *after* the
+	// publish, so the woken coordinator's snapshot read always sees the
+	// freed capacity.
 	onFree func()
 	// lastFreeNodes / lastFailedRes are the previous published snapshot's
 	// figures, for the onFree edge detection. Engine-goroutine only.
@@ -90,7 +88,6 @@ func newLane(idx int, cell shard.Cell, eng *engine.Engine, virtualClock bool,
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
 		batcher:      ingest.NewBatcher(ingestQueue, maxBatch),
-		applier:      ingest.NewApplier(eng),
 		pub:          snapshot.NewPublisher(eng),
 		latency:      newLatencyHist(),
 		queueWait:    newLatencyHist(),
@@ -300,7 +297,7 @@ func (l *lane) runOps(ops []*ingest.Op) {
 	for _, op := range ops {
 		tRun := time.Now()
 		l.queueWait.Observe(tRun.Sub(op.EnqueuedAt).Seconds())
-		l.applier.Apply(op)
+		ingest.Apply(l.eng, op)
 		l.latency.Observe(time.Since(tRun).Seconds())
 	}
 	l.observeDrain(len(ops))
@@ -410,12 +407,20 @@ func (l *lane) park() (*engine.Engine, func(), error) {
 	}
 }
 
+// knows reports whether the lane's engine has seen the job ID. A closed
+// lane knows nothing; the caller's next enqueue reports the closure.
+func (l *lane) knows(id int64) bool {
+	var ok bool
+	_ = l.do(func(e *engine.Engine) { _, ok = e.Status(id) })
+	return ok
+}
+
 // writeIngestError maps ingest admission failures: a full queue is 429 with
-// a drain-rate-derived Retry-After (the client should back off, never
-// block; see retryAfterSeconds), a closed server is 503.
-func (l *lane) writeIngestError(w http.ResponseWriter, err error) {
+// the given Retry-After (the client should back off, never block; see
+// retryAfterSeconds), a closed server is 503.
+func writeIngestError(w http.ResponseWriter, err error, retryAfter int) {
 	if isOverloaded(err) {
-		w.Header().Set("Retry-After", strconv.Itoa(l.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}

@@ -9,19 +9,19 @@ import (
 	"repro/internal/ingest"
 )
 
-// retryAfterServer builds a bare Server with a batcher holding depth queued
-// ops and the given measured drain rate, without starting the engine
-// goroutine — retryAfterSeconds reads only those two inputs.
-func retryAfterServer(t *testing.T, queueCap, depth int, rate float64) *Server {
+// retryAfterLane builds a bare lane with a batcher holding depth queued ops
+// and the given measured drain rate, without starting the engine goroutine
+// — retryAfterSeconds reads only those two inputs.
+func retryAfterLane(t *testing.T, queueCap, depth int, rate float64) *lane {
 	t.Helper()
-	s := &Server{lane: &lane{batcher: ingest.NewBatcher(queueCap, 16)}}
+	l := &lane{batcher: ingest.NewBatcher(queueCap, 16)}
 	for i := 0; i < depth; i++ {
-		if _, err := s.batcher.Enqueue(&ingest.Op{Kind: ingest.Cancel, ID: int64(i)}); err != nil {
+		if _, err := l.batcher.Enqueue(&ingest.Op{Kind: ingest.Cancel, ID: int64(i)}); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
-	s.drainRate.Store(math.Float64bits(rate))
-	return s
+	l.drainRate.Store(math.Float64bits(rate))
+	return l
 }
 
 func TestRetryAfterSeconds(t *testing.T) {
@@ -46,8 +46,8 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := retryAfterServer(t, c.depth+1, c.depth, c.rate)
-			if got := s.retryAfterSeconds(); got != c.want {
+			l := retryAfterLane(t, c.depth+1, c.depth, c.rate)
+			if got := l.retryAfterSeconds(); got != c.want {
 				t.Fatalf("depth=%d rate=%g: Retry-After = %d, want %d", c.depth, c.rate, got, c.want)
 			}
 		})
@@ -57,9 +57,9 @@ func TestRetryAfterSeconds(t *testing.T) {
 // TestWriteIngestErrorRetryAfterHeader pins the full header path: overload
 // answers 429 with the derived hint, anything else answers 503 without one.
 func TestWriteIngestErrorRetryAfterHeader(t *testing.T) {
-	s := retryAfterServer(t, 2000, 1500, 1000)
+	l := retryAfterLane(t, 2000, 1500, 1000)
 	rec := httptest.NewRecorder()
-	s.writeIngestError(rec, ingest.ErrOverloaded)
+	writeIngestError(rec, ingest.ErrOverloaded, l.retryAfterSeconds())
 	if rec.Code != 429 {
 		t.Fatalf("status = %d, want 429", rec.Code)
 	}
@@ -68,7 +68,7 @@ func TestWriteIngestErrorRetryAfterHeader(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	s.writeIngestError(rec, ingest.ErrClosed)
+	writeIngestError(rec, ingest.ErrClosed, l.retryAfterSeconds())
 	if rec.Code != 503 {
 		t.Fatalf("status = %d, want 503", rec.Code)
 	}
@@ -81,16 +81,16 @@ func TestWriteIngestErrorRetryAfterHeader(t *testing.T) {
 // EWMA, later windows fold in at 0.2, and a zero-elapsed window is skipped
 // rather than dividing by zero.
 func TestObserveDrainEWMA(t *testing.T) {
-	s := &Server{lane: &lane{}}
-	s.lastDrainEnd = time.Now().Add(-100 * time.Millisecond)
-	s.observeDrain(100) // ~1000 ops/sec over ~100ms
-	first := math.Float64frombits(s.drainRate.Load())
+	l := &lane{}
+	l.lastDrainEnd = time.Now().Add(-100 * time.Millisecond)
+	l.observeDrain(100) // ~1000 ops/sec over ~100ms
+	first := math.Float64frombits(l.drainRate.Load())
 	if first < 500 || first > 2000 {
 		t.Fatalf("seed rate = %g, want ~1000", first)
 	}
-	s.lastDrainEnd = time.Now().Add(-100 * time.Millisecond)
-	s.observeDrain(1000) // ~10000 ops/sec sample
-	second := math.Float64frombits(s.drainRate.Load())
+	l.lastDrainEnd = time.Now().Add(-100 * time.Millisecond)
+	l.observeDrain(1000) // ~10000 ops/sec sample
+	second := math.Float64frombits(l.drainRate.Load())
 	if second <= first {
 		t.Fatalf("EWMA must move toward a faster sample: %g -> %g", first, second)
 	}

@@ -15,13 +15,15 @@
 //
 // The Server is the routing gateway over the lanes:
 //
-//   - Jobs no wider than a cell are routed to one lane (deterministic hash
-//     by default, least-loaded with Config.Route "spread") and scheduled
+//   - The gateway assigns every job its ID: auto IDs continue from one
+//     high-water mark that explicit IDs raise.
+//   - Jobs no wider than the widest cell are routed to one lane by
+//     shard.RouteHash (deterministic in the job's ID and size) and scheduled
 //     fully in parallel with every other lane's work.
 //   - Wider jobs take the cross-shard path (cross.go): a coordinator parks
-//     every lane in ascending index order, composes a whole-pod partition
-//     that the internal/partition legality conditions verify once, splits it
-//     per cell, and charges each engine its slice via StartPlaced.
+//     the member lanes in ascending index order, composes a partition that
+//     the internal/partition legality conditions verify once, splits it per
+//     cell, and charges each engine its slice via StartPlaced.
 //   - Reads merge the per-lane snapshots (snapshot.Merge): internally
 //     consistent per shard, boundedly stale across shards, with a composite
 //     monotone sequence number.
@@ -29,10 +31,10 @@
 //     failures (which span every cell) apply to all lanes in ascending
 //     order, reverting on partial failure.
 //
-// With Shards == 1 (the default) the Server embeds the one lane directly
-// and every path — ingest, publish cadence, admin closures, ID assignment —
-// is byte-identical to the pre-shard daemon; the shard-count differential
-// tests pin that.
+// One shard (the default) is the N=1 case of the same path: one lane owns
+// the whole fabric, no job is ever wider than it, and the schedule is
+// bit-for-bit the bare engine's; the shard-count differential tests pin
+// that.
 //
 // Each lane drives time the same way the single engine did:
 //
@@ -128,11 +130,8 @@ type Config struct {
 	// 0 means the default (256).
 	MaxBatch int
 	// Shards splits the fabric into this many per-cell engines (lanes).
-	// 0 or 1 means the classic single-engine daemon, bit-for-bit.
+	// 0 or 1 means one engine over the whole fabric.
 	Shards int
-	// Route picks the single-shard routing policy: "hash" (default;
-	// deterministic by job ID) or "spread" (least-loaded fitting lane).
-	Route string
 }
 
 const (
@@ -165,28 +164,26 @@ const crossOwner = -1
 
 // Server is one daemon instance: one lane per shard, the routing gateway,
 // and the HTTP surface. Create with New, serve with Serve/ListenAndServe or
-// by mounting Handler, and stop with Close. The first lane is embedded so
-// single-lane deployments (and the pre-shard test suite) address its fields
-// directly.
+// by mounting Handler, and stop with Close.
 type Server struct {
 	cfg   Config
 	log   *slog.Logger
 	tree  *topology.FatTree
 	cells []shard.Cell
 	lanes []*lane
-	*lane // lanes[0]
 
 	// maxCell is the widest job a single lane can host; wider jobs go
 	// cross-shard.
 	maxCell int
-	// nextID assigns job IDs at the gateway when Shards > 1 (per-lane
-	// appliers would collide); with one lane the applier assigns, exactly
-	// as before.
-	nextID atomic.Int64
-	// owner maps job ID -> owning lane index (or crossOwner). Only
-	// populated when Shards > 1.
+	// lastID is the job-ID high-water mark: auto IDs are assigned above it
+	// and every explicit ID raises it, so the two never collide.
+	lastID atomic.Int64
+	// owner maps job ID -> owning lane index (or crossOwner) for the jobs
+	// whose lane cannot be derived from the ID (see route). Every other job
+	// lives on its home lane, id mod len(lanes).
 	owner sync.Map
-	// cross is the wide-job coordinator; nil when Shards == 1.
+	// cross is the wide-job coordinator. With one lane no job is wider
+	// than the lane, so it never receives one.
 	cross *coordinator
 
 	httpStats *httpStats
@@ -216,13 +213,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	switch cfg.Route {
-	case "", "hash":
-		cfg.Route = "hash"
-	case "spread":
-	default:
-		return nil, fmt.Errorf("server: unknown route policy %q (want hash or spread)", cfg.Route)
-	}
 	if cfg.Alloc == nil {
 		return nil, fmt.Errorf("server: nil allocator")
 	}
@@ -231,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 && cfg.Alloc.State().Version() != 0 {
+	if len(cells) > 1 && cfg.Alloc.State().Version() != 0 {
 		return nil, fmt.Errorf("server: sharding requires a freshly-constructed allocator")
 	}
 
@@ -253,10 +243,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	for i, c := range cells {
 		a := allocs[i]
-		total := 0
-		if cfg.Shards > 1 {
+		if len(cells) > 1 {
 			a.State().RestrictToPods(c.PodLo, c.PodHi)
-			total = c.Nodes(tree)
 		}
 		eng, err := engine.New(engine.Config{
 			Alloc:            a,
@@ -267,20 +255,21 @@ func New(cfg Config) (*Server, error) {
 			OnFailure:        cfg.OnFailure,
 			Elastic:          cfg.Elastic,
 			MeasureAllocTime: true,
-			TotalNodes:       total,
+			TotalNodes:       c.Nodes(tree),
 		})
 		if err != nil {
 			return nil, err
 		}
 		s.lanes[i] = newLane(i, c, eng, cfg.VirtualClock, cfg.NowFunc, cfg.IngestQueue, cfg.MaxBatch)
 	}
-	s.lane = s.lanes[0]
-	if cfg.Shards > 1 {
-		// The coordinator exists before any lane loop starts so every lane
-		// can publish pod summaries from its first real snapshot on and ring
-		// the coordinator whenever a publish shows freed capacity. Its run
-		// goroutine just blocks on the wake channel until the first submit.
-		s.cross = newCoordinator(s)
+	// The coordinator exists before any lane loop starts. Its run goroutine
+	// just blocks on the wake channel until the first wide submit.
+	s.cross = newCoordinator(s)
+	if s.maxCell < tree.Nodes() {
+		// Wide jobs are possible on this plan, so every lane publishes pod
+		// summaries from its first real snapshot on and rings the
+		// coordinator whenever a publish shows freed capacity. A plan whose
+		// widest cell is the whole fabric skips both per-publish costs.
 		for _, l := range s.lanes {
 			l.pub.CapturePodSummaries()
 			l.onFree = s.cross.signalWake
@@ -297,30 +286,23 @@ func New(cfg Config) (*Server, error) {
 // answered before the lanes stop; requests after Close fail cleanly
 // (ErrClosed / 503). Safe to call more than once.
 func (s *Server) Close() {
-	if s.cross != nil {
-		s.cross.close()
-	}
+	s.cross.close()
 	for _, l := range s.lanes {
 		l.close()
 	}
 }
 
-// sharded reports whether the gateway routes across multiple lanes.
-func (s *Server) sharded() bool { return len(s.lanes) > 1 }
-
-// view returns the read-path snapshot: the lane's own View when single, the
-// merged per-lane Views plus cross-shard waiting jobs otherwise.
+// view returns the read-path snapshot: the merged per-lane Views plus
+// cross-shard waiting jobs.
 func (s *Server) view() *snapshot.View {
-	if !s.sharded() {
-		return s.pub.Load()
-	}
 	views := make([]*snapshot.View, len(s.lanes))
 	for i, l := range s.lanes {
 		views[i] = l.pub.Load()
 	}
 	v := snapshot.Merge(views)
 	if waiting := s.cross.waiting(); len(waiting) > 0 {
-		// Merge built a fresh View (len > 1), so appending is safe.
+		// Only a plan with more than one lane admits wide jobs, and Merge
+		// builds a fresh View for more than one, so appending is safe.
 		v.Snap.Queue = append(v.Snap.Queue, waiting...)
 		sort.SliceStable(v.Snap.Queue, func(i, j int) bool {
 			a, b := v.Snap.Queue[i], v.Snap.Queue[j]
@@ -335,25 +317,6 @@ func (s *Server) view() *snapshot.View {
 		}
 	}
 	return v
-}
-
-// routeLane picks the lane for a single-shard job.
-func (s *Server) routeLane(id int64, size int) int {
-	if s.cfg.Route == "spread" {
-		best, bestLoad := -1, 0
-		for _, l := range s.lanes {
-			if size > l.cell.Nodes(s.tree) {
-				continue
-			}
-			v := l.pub.Load()
-			load := l.batcher.Len() + v.Snap.QueueDepth
-			if best < 0 || load < bestLoad {
-				best, bestLoad = l.idx, load
-			}
-		}
-		return best
-	}
-	return shard.RouteHash(s.tree, s.cells, id, size)
 }
 
 func isOverloaded(err error) bool { return errors.Is(err, ingest.ErrOverloaded) }
@@ -568,29 +531,72 @@ func (req *submitRequest) job() trace.Job {
 	}
 }
 
-// assignAndRoute gives a gateway job its ID and owning lane (Shards > 1
-// only). It returns the lane index or crossOwner, and false on a duplicate
-// ID that cannot be delegated to an engine's own duplicate check.
-func (s *Server) assignAndRoute(req *submitRequest) (int, error) {
-	if req.ID == 0 {
-		req.ID = s.nextID.Add(1)
+// homeLane is the lane a job ID maps to when the owner map has no entry.
+func (s *Server) homeLane(id int64) int { return int(uint64(id) % uint64(len(s.lanes))) }
+
+// route gives a submit its ID and owning lane, or crossOwner for a job
+// wider than every cell. Auto IDs take the next value above the high-water
+// mark; explicit IDs raise it. The owner map records only what the ID
+// cannot tell: explicit IDs (for duplicate detection), cross-shard jobs,
+// and auto-ID jobs RouteHash placed off their home lane, which only an
+// uneven plan does. With one lane and auto IDs nothing is stored.
+//
+// A duplicate of a lane-owned ID is routed to that lane so its engine
+// reports the duplicate exactly as a single engine would; a duplicate of a
+// cross-owned ID is rejected here.
+func (s *Server) route(req *submitRequest) (int, error) {
+	explicit := req.ID != 0
+	var prev int64
+	if explicit {
+		prev = s.raiseLastID(req.ID)
+	} else {
+		req.ID = s.lastID.Add(1)
 	}
-	want := crossOwner
+	li := crossOwner
 	if req.Size <= s.maxCell {
-		want = s.routeLane(req.ID, req.Size)
+		li = shard.RouteHash(s.tree, s.cells, req.ID, req.Size)
 	}
-	got, loaded := s.owner.LoadOrStore(req.ID, want)
-	li := got.(int)
-	if loaded {
-		// Existing ID: a lane-owned duplicate is submitted to its owning
-		// lane so the engine reports the duplicate exactly as a single
-		// engine would; a cross-owned duplicate is rejected here.
-		if li == crossOwner {
-			return 0, fmt.Errorf("engine: duplicate job id %d", req.ID)
+	home := s.homeLane(req.ID)
+	if !explicit {
+		if li != home {
+			s.owner.Store(req.ID, li)
 		}
 		return li, nil
 	}
+	got, loaded := s.owner.LoadOrStore(req.ID, li)
+	if loaded {
+		if got.(int) == crossOwner {
+			return 0, fmt.Errorf("engine: duplicate job id %d", req.ID)
+		}
+		return got.(int), nil
+	}
+	if req.ID <= prev && li != home && s.lanes[home].knows(req.ID) {
+		// An earlier auto-ID job holds this ID on its home lane, unrecorded.
+		// (An auto-ID submit of this ID still on its way to that lane is not
+		// seen; explicit IDs above the ones handed out never race.)
+		s.owner.Delete(req.ID)
+		return 0, fmt.Errorf("engine: duplicate job id %d", req.ID)
+	}
 	return li, nil
+}
+
+// raiseLastID lifts the high-water mark to at least id and returns the
+// mark it found.
+func (s *Server) raiseLastID(id int64) int64 {
+	for {
+		cur := s.lastID.Load()
+		if id <= cur || s.lastID.CompareAndSwap(cur, id) {
+			return cur
+		}
+	}
+}
+
+// ownerOf resolves a job ID to its lane index or crossOwner.
+func (s *Server) ownerOf(id int64) int {
+	if li, ok := s.owner.Load(id); ok {
+		return li.(int)
+	}
+	return s.homeLane(id)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -605,22 +611,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.sharded() {
-		op := &ingest.Op{Kind: ingest.Submit, Job: req.job(), EnqueuedAt: time.Now()}
-		batch, err := s.batcher.Enqueue(op)
-		if err != nil {
-			s.writeIngestError(w, err)
-			return
-		}
-		batch.Wait()
-		if op.Err != nil {
-			writeError(w, http.StatusConflict, "%v", op.Err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, toJobJSON(op.Status))
-		return
-	}
-	li, err := s.assignAndRoute(&req)
+	li, err := s.route(&req)
 	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -638,7 +629,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	op := &ingest.Op{Kind: ingest.Submit, Job: req.job(), EnqueuedAt: time.Now()}
 	batch, err := l.batcher.Enqueue(op)
 	if err != nil {
-		l.writeIngestError(w, err)
+		writeIngestError(w, err, l.retryAfterSeconds())
 		return
 	}
 	batch.Wait()
@@ -656,6 +647,13 @@ type batchItemResult struct {
 	Error string `json:"error,omitempty"`
 }
 
+// handleBatch fans a batch out per lane. Per-item validation never involves
+// an engine; each lane's valid items are enqueued as one all-or-nothing
+// sub-batch, and cross-shard items go to the coordinator one by one. When
+// no item was admitted and a lane shed its sub-batch, the whole request is
+// refused (429 with Retry-After on overload, else 503); otherwise it is
+// 202 with per-item results, plus Retry-After — the maximum over the lanes
+// that shed — when any did.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []submitRequest `json:"jobs"`
@@ -666,71 +664,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid body: %v", err)
 		return
 	}
-	if len(req.Jobs) == 0 {
+	jobs := req.Jobs
+	if len(jobs) == 0 {
 		writeError(w, http.StatusBadRequest, "jobs must be non-empty")
 		return
 	}
-	if max := s.batcher.Cap(); len(req.Jobs) > max {
+	if max := s.cfg.IngestQueue; len(jobs) > max {
 		writeError(w, http.StatusBadRequest,
-			"batch of %d jobs exceeds ingest queue capacity %d", len(req.Jobs), max)
+			"batch of %d jobs exceeds ingest queue capacity %d", len(jobs), max)
 		return
 	}
-	if s.sharded() {
-		s.handleBatchSharded(w, req.Jobs)
-		return
-	}
-
-	// Per-item validation never involves the engine; only valid items are
-	// enqueued, all-or-nothing, so overload rejects the whole request.
-	results := make([]batchItemResult, len(req.Jobs))
-	ops := make([]*ingest.Op, 0, len(req.Jobs))
-	idx := make([]int, 0, len(req.Jobs))
-	now := time.Now()
-	for i := range req.Jobs {
-		if err := s.validateSubmit(&req.Jobs[i]); err != nil {
-			results[i].Error = err.Error()
-			continue
-		}
-		ops = append(ops, &ingest.Op{Kind: ingest.Submit, Job: req.Jobs[i].job(), EnqueuedAt: now})
-		idx = append(idx, i)
-	}
-	if len(ops) > 0 {
-		batch, err := s.batcher.Enqueue(ops...)
-		if err != nil {
-			s.writeIngestError(w, err)
-			return
-		}
-		batch.Wait()
-		for k, op := range ops {
-			if op.Err != nil {
-				results[idx[k]].Error = op.Err.Error()
-				continue
-			}
-			jj := toJobJSON(op.Status)
-			results[idx[k]].jobJSON = &jj
-		}
-	}
-	writeBatchResults(w, results)
-}
-
-// handleBatchSharded fans a validated batch out per lane. Each lane's
-// sub-batch keeps the all-or-nothing admission contract (an overloaded lane
-// rejects its whole sub-batch with per-item errors and a Retry-After header
-// derived from that lane's drain rate); other lanes' sub-batches proceed
-// independently. Cross-shard items are enqueued with the coordinator one by
-// one.
-func (s *Server) handleBatchSharded(w http.ResponseWriter, jobs []submitRequest) {
 	results := make([]batchItemResult, len(jobs))
 	perLane := make([][]*ingest.Op, len(s.lanes))
 	perLaneIdx := make([][]int, len(s.lanes))
 	now := time.Now()
-	retryAfter := -1
+	admitted := 0
 	for i := range jobs {
 		if err := s.validateSubmit(&jobs[i]); err != nil {
 			results[i].Error = err.Error()
 			continue
 		}
-		li, err := s.assignAndRoute(&jobs[i])
+		li, err := s.route(&jobs[i])
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
@@ -741,6 +695,7 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, jobs []submitRequest)
 				results[i].Error = err.Error()
 				continue
 			}
+			admitted++
 			jj := toJobJSON(st)
 			results[i].jobJSON = &jj
 			continue
@@ -751,6 +706,8 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, jobs []submitRequest)
 	// Enqueue every lane's sub-batch before waiting on any, so lanes apply
 	// in parallel.
 	batches := make([]*ingest.Batch, len(s.lanes))
+	var enqErr error // an overload if any lane shed, else the first failure
+	retryAfter := -1
 	for li, ops := range perLane {
 		if len(ops) == 0 {
 			continue
@@ -761,13 +718,19 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, jobs []submitRequest)
 				results[i].Error = err.Error()
 			}
 			if isOverloaded(err) {
-				if ra := s.lanes[li].retryAfterSeconds(); ra > retryAfter {
-					retryAfter = ra
-				}
+				retryAfter = max(retryAfter, s.lanes[li].retryAfterSeconds())
+			}
+			if enqErr == nil || isOverloaded(err) {
+				enqErr = err
 			}
 			continue
 		}
+		admitted += len(ops)
 		batches[li] = batch
+	}
+	if admitted == 0 && enqErr != nil {
+		writeIngestError(w, enqErr, retryAfter)
+		return
 	}
 	for li, batch := range batches {
 		if batch == nil {
@@ -807,46 +770,25 @@ func jobID(r *http.Request) (int64, error) {
 	return strconv.ParseInt(r.PathValue("id"), 10, 64)
 }
 
-// laneFor resolves a job ID to its owning lane when sharded: the recorded
-// owner, or (-1, false) for cross-owned / unknown IDs.
-func (s *Server) laneFor(id int64) (int, bool) {
-	got, ok := s.owner.Load(id)
-	if !ok {
-		return 0, false
-	}
-	li := got.(int)
-	if li == crossOwner {
-		return crossOwner, true
-	}
-	return li, true
-}
-
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid job id")
 		return
 	}
-	l := s.lane
-	if s.sharded() {
-		li, ok := s.laneFor(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %d", id)
+	li := s.ownerOf(id)
+	if li == crossOwner {
+		st, err := s.cross.status(id)
+		if err != nil {
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		if li == crossOwner {
-			st, err := s.cross.status(id)
-			if err != nil {
-				writeError(w, http.StatusServiceUnavailable, "%v", err)
-				return
-			}
-			writeJSON(w, http.StatusOK, toJobJSON(st))
-			return
-		}
-		l = s.lanes[li]
+		writeJSON(w, http.StatusOK, toJobJSON(st))
+		return
 	}
 	// Active jobs are indexed in the published snapshot; terminal and
 	// unknown IDs fall back to a point lookup on the engine goroutine.
+	l := s.lanes[li]
 	if st, ok := l.pub.Load().Jobs[id]; ok {
 		writeJSON(w, http.StatusOK, toJobJSON(st))
 		return
@@ -870,23 +812,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job id")
 		return
 	}
-	l := s.lane
-	if s.sharded() {
-		li, ok := s.laneFor(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %d", id)
-			return
-		}
-		if li == crossOwner {
-			s.cross.cancel(w, id)
-			return
-		}
-		l = s.lanes[li]
+	li := s.ownerOf(id)
+	if li == crossOwner {
+		s.cross.cancel(w, id)
+		return
 	}
+	l := s.lanes[li]
 	op := &ingest.Op{Kind: ingest.Cancel, ID: id, EnqueuedAt: time.Now()}
 	batch, enqErr := l.batcher.Enqueue(op)
 	if enqErr != nil {
-		l.writeIngestError(w, enqErr)
+		writeIngestError(w, enqErr, l.retryAfterSeconds())
 		return
 	}
 	batch.Wait()

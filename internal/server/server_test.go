@@ -140,12 +140,12 @@ func TestPartitionIsolationVisibleOverHTTP(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	_, hs := newTestServer(t, Config{VirtualClock: true})
 	for body, want := range map[string]int{
-		`{"size":0,"runtime":10}`:     http.StatusBadRequest,
-		`{"size":4,"runtime":0}`:      http.StatusBadRequest,
-		`{"size":4,"runtime":-5}`:     http.StatusBadRequest,
-		`{"size":17,"runtime":10}`:    http.StatusBadRequest, // larger than the 16-node tree
-		`{"size":4,"runtime":10,"x"`:  http.StatusBadRequest, // truncated JSON
-		`{"size":4,"bogus":1}`:        http.StatusBadRequest, // unknown field
+		`{"size":0,"runtime":10}`:         http.StatusBadRequest,
+		`{"size":4,"runtime":0}`:          http.StatusBadRequest,
+		`{"size":4,"runtime":-5}`:         http.StatusBadRequest,
+		`{"size":17,"runtime":10}`:        http.StatusBadRequest, // larger than the 16-node tree
+		`{"size":4,"runtime":10,"x"`:      http.StatusBadRequest, // truncated JSON
+		`{"size":4,"bogus":1}`:            http.StatusBadRequest, // unknown field
 		`{"id":-3,"size":4,"runtime":10}`: http.StatusBadRequest,
 	} {
 		resp, _ := postJob(t, hs.URL, body)
@@ -166,7 +166,15 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestUnknownJobRoutes(t *testing.T) {
-	_, hs := newTestServer(t, Config{VirtualClock: true})
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testUnknownJobRoutes(t, shards)
+		})
+	}
+}
+
+func testUnknownJobRoutes(t *testing.T, shards int) {
+	_, hs := newTestServer(t, Config{VirtualClock: true, Shards: shards})
 	if code := getJSON(t, hs.URL+"/v1/jobs/999", &struct{}{}); code != http.StatusNotFound {
 		t.Fatalf("get unknown: %d", code)
 	}
@@ -182,15 +190,30 @@ func TestUnknownJobRoutes(t *testing.T) {
 }
 
 func TestCancelOverHTTP(t *testing.T) {
-	// Baseline allocator, FIFO queue: fill the machine, queue one, cancel
-	// it. A frozen wall clock keeps the first job running indefinitely (a
-	// virtual clock would fast-forward it to completion between requests).
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testCancelOverHTTP(t, shards)
+		})
+	}
+}
+
+func testCancelOverHTTP(t *testing.T, shards int) {
+	// Baseline allocator, FIFO queue: fill lane 0, queue one behind it,
+	// cancel it. A frozen wall clock keeps the first job running
+	// indefinitely (a virtual clock would fast-forward it to completion
+	// between requests). IDs that are multiples of the shard count both
+	// live on lane 0.
 	_, hs := newTestServer(t, Config{
 		Alloc:   baseline.NewAllocator(topology.MustNew(4)),
 		NowFunc: func() float64 { return 0 },
+		Shards:  shards,
 	})
-	_, j1 := postJob(t, hs.URL, `{"size":16,"runtime":1000}`)
-	_, j2 := postJob(t, hs.URL, `{"size":16,"runtime":1000}`)
+	size := 16 / shards
+	_, j1 := postJob(t, hs.URL, fmt.Sprintf(`{"id":%d,"size":%d,"runtime":1000}`, shards, size))
+	_, j2 := postJob(t, hs.URL, fmt.Sprintf(`{"id":%d,"size":%d,"runtime":1000}`, 2*shards, size))
+	if j1.State != "running" {
+		t.Fatalf("first job state %q, want running", j1.State)
+	}
 	if j2.State != "queued" {
 		t.Fatalf("second job state %q, want queued", j2.State)
 	}
@@ -218,6 +241,39 @@ func TestCancelOverHTTP(t *testing.T) {
 	c := waitDrained(t, hs.URL)
 	if c.Counts["cancelled"] != 2 || c.FreeNodes != 16 {
 		t.Fatalf("after cancels: %+v", c)
+	}
+}
+
+// TestExplicitAndAutoIDsNeverCollide pins the gateway's ID rule at one and
+// three shards: an auto ID after an explicit one is assigned above it, an
+// explicit ID that repeats an earlier auto ID is a duplicate even when its
+// size routes it off that job's lane, and an auto-ID job placed off its
+// home lane (the uneven 3-shard plan's narrow cells) is still found.
+func TestExplicitAndAutoIDsNeverCollide(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, hs := newTestServer(t, Config{NowFunc: func() float64 { return 0 }, Shards: shards})
+			if resp, _ := postJob(t, hs.URL, `{"id":1,"size":2,"runtime":100}`); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("explicit submit: %d", resp.StatusCode)
+			}
+			resp, auto := postJob(t, hs.URL, `{"size":2,"runtime":100}`)
+			if resp.StatusCode != http.StatusAccepted || auto.ID <= 1 {
+				t.Fatalf("auto submit after explicit id 1: %d %+v", resp.StatusCode, auto)
+			}
+			// Wider than any 3-shard cell: the coordinator's path.
+			dup := fmt.Sprintf(`{"id":%d,"size":12,"runtime":100}`, auto.ID)
+			if resp, _ := postJob(t, hs.URL, dup); resp.StatusCode != http.StatusConflict {
+				t.Fatalf("explicit repeat of auto id %d: %d, want 409", auto.ID, resp.StatusCode)
+			}
+			resp, wide := postJob(t, hs.URL, `{"size":6,"runtime":100}`)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("6-node auto submit: %d", resp.StatusCode)
+			}
+			var got jobJSON
+			if code := getJSON(t, fmt.Sprintf("%s/v1/jobs/%d", hs.URL, wide.ID), &got); code != http.StatusOK || got.Size != 6 {
+				t.Fatalf("GET job %d: %d %+v", wide.ID, code, got)
+			}
+		})
 	}
 }
 
@@ -354,7 +410,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("serve did not return after cancel")
 	}
 	// The engine goroutine is stopped: direct requests fail with ErrClosed.
-	if err := s.do(func(e *engine.Engine) {}); err != ErrClosed {
+	if err := s.lanes[0].do(func(e *engine.Engine) {}); err != ErrClosed {
 		t.Fatalf("post-close do = %v, want ErrClosed", err)
 	}
 	// Close is idempotent.

@@ -76,9 +76,8 @@ func pollCluster(t *testing.T, base string, ok func(clusterJSON) bool) clusterJS
 }
 
 type shardsJSON struct {
-	Count int    `json:"count"`
-	Route string `json:"route"`
-	Max   int    `json:"max_single_shard_size"`
+	Count int `json:"count"`
+	Max   int `json:"max_single_shard_size"`
 	Cross *struct {
 		Waiting int   `json:"waiting"`
 		Placed  int64 `json:"placed"`
@@ -109,7 +108,7 @@ func TestShardedLifecycle(t *testing.T) {
 	if code := getJSON(t, base+"/v1/shards", &sh); code != http.StatusOK {
 		t.Fatalf("/v1/shards: %d", code)
 	}
-	if sh.Count != 4 || len(sh.Shards) != 4 || sh.Max != 32 || sh.Route != "hash" {
+	if sh.Count != 4 || len(sh.Shards) != 4 || sh.Max != 32 {
 		t.Fatalf("shards meta: %+v", sh)
 	}
 	lo := 0
