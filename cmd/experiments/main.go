@@ -16,8 +16,9 @@
 // -fail-trace replays a fault-injection file (see internal/failtrace for the
 // format) inside every simulation cell, measuring the schedulers on a
 // degraded fabric; -fail-policy picks what happens to running jobs hit by a
-// failure (requeue, kill, or shrink — shrink additionally needs -elastic and
-// jobs that declare min_nodes, and falls back to requeue for rigid jobs).
+// failure (requeue, kill, or shrink — shrink re-places jobs that declare
+// min_nodes and falls back to requeue for rigid jobs, so on the paper's
+// rigid traces it behaves exactly like requeue).
 package main
 
 import (
@@ -37,7 +38,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulation cells; 0 = one per CPU (output is identical for any value)")
 	failTrace := flag.String("fail-trace", "", "fault-injection trace replayed in every simulation cell (see internal/failtrace)")
 	failPolicy := flag.String("fail-policy", "requeue", "what happens to running jobs hit by a failure: requeue|kill|shrink")
-	elastic := flag.Bool("elastic", false, "enable malleability paths for jobs declaring elastic fields (needed by -fail-policy shrink)")
 	flag.Parse()
 
 	cfg := experiments.Config{Scale: *scale, Out: os.Stdout, Workers: *workers, MeasureTime: true}
@@ -55,7 +55,6 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.FailPolicy = policy
-	cfg.Elastic = *elastic
 	runners := map[string]func(experiments.Config) error{
 		"all":    experiments.All,
 		"table1": experiments.Table1,

@@ -7,13 +7,19 @@
 //
 //	jigsawd [-addr :8080] [-radix 16] [-policy jigsaw] [-clock wall|virtual]
 //	        [-scenario None] [-window 50] [-no-backfill] [-fail-policy requeue]
-//	        [-elastic] [-shards 1] [-v]
+//	        [-shards 1] [-v]
 //
 // With -clock virtual the daemon fast-forwards through events whenever it is
 // idle, which replays a submitted trace as fast as the allocator can place
 // jobs; with -clock wall (the default) jobs complete in real time. The
 // daemon shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests first.
+//
+// Jobs that declare elastic fields (min_nodes, max_nodes, priority,
+// deadline) get the malleability moves with no flag: shrink under
+// -fail-policy shrink, growth into idle capacity, priority preemption and a
+// deadline admission verdict. Scenario speed-ups apply under every policy
+// but baseline.
 //
 // Examples:
 //
@@ -49,19 +55,18 @@ func main() {
 		scenarioN  = flag.String("scenario", "None", "speed-up scenario applied to isolated jobs: None|5%|10%|20%|V2|Random")
 		window     = flag.Int("window", jigsaw.DefaultWindow, "EASY backfill lookahead window")
 		noBackfill = flag.Bool("no-backfill", false, "disable EASY backfilling (pure FIFO)")
-		failPolicy = flag.String("fail-policy", "requeue", "what happens to running jobs hit by POST /v1/fail: requeue|kill|shrink")
-		elastic    = flag.Bool("elastic", false, "accept elastic jobs (min_nodes/max_nodes/priority/deadline): shrink under -fail-policy shrink, grow into idle capacity, deadline admission, priority preemption")
+		failPolicy = flag.String("fail-policy", "requeue", "what happens to running jobs hit by POST /v1/fail: requeue|kill|shrink (shrink re-places jobs that declare min_nodes)")
 		shards     = flag.Int("shards", 1, "split the fabric into this many per-cell engines (opt-in; 1 = one engine over the whole fabric)")
 		verbose    = flag.Bool("v", false, "log every request")
 	)
 	flag.Parse()
-	if err := run(*addr, *radix, *policy, *clock, *scenarioN, *window, *noBackfill, *failPolicy, *elastic, *shards, *verbose); err != nil {
+	if err := run(*addr, *radix, *policy, *clock, *scenarioN, *window, *noBackfill, *failPolicy, *shards, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "jigsawd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, radix int, policy, clock, scenarioName string, window int, noBackfill bool, failPolicy string, elastic bool, shards int, verbose bool) error {
+func run(addr string, radix int, policy, clock, scenarioName string, window int, noBackfill bool, failPolicy string, shards int, verbose bool) error {
 	scheme, err := canonicalScheme(policy)
 	if err != nil {
 		return err
@@ -100,11 +105,9 @@ func run(addr string, radix int, policy, clock, scenarioName string, window int,
 	s, err := server.New(server.Config{
 		Alloc:           a,
 		Scenario:        sc,
-		ApplySpeedups:   scheme != jigsaw.SchemeBaseline,
 		Window:          window,
 		DisableBackfill: noBackfill,
 		OnFailure:       onFailure,
-		Elastic:         elastic,
 		VirtualClock:    virtual,
 		Logger:          logger,
 		Shards:          shards,

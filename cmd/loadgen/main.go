@@ -2,14 +2,13 @@
 // it: a closed-loop mode (K workers, each submit -> wait -> repeat) for peak
 // sustainable throughput, and an open-loop mode (fixed arrival rate) for
 // latency under a controlled offered load. Requests go through POST /v1/jobs
-// or, with -batch > 1, through POST /v1/jobs:batch. Both modes honor the
-// server's Retry-After hint (with jitter) when shed with a 429: closed-loop
-// workers sleep before retrying, and the open loop pauses its arrival
-// schedule until the hint expires (arrivals are deferred, not dropped, and
-// the schedule resumes from the pause end rather than bursting to catch
-// up). Back-off time is counted separately from request latency — and
-// open-loop pauses separately from closed-loop sleeps — in both the
-// per-request records and the end-of-run summary.
+// or, with -batch > 1, through POST /v1/jobs:batch. Closed-loop workers
+// honor the server's Retry-After hint (with jitter) when shed with a 429,
+// and the back-off sleep is counted separately from request latency in both
+// the per-request records and the end-of-run summary. The open loop never
+// pauses: each request is timed from the moment it fell due, so a stalled
+// server's delay counts against every request due while it lasted, and a
+// 429 counts as shed while the next request goes out on schedule.
 //
 // With no -target it starts an in-process daemon (policy, radix, and clock
 // selectable) on a loopback listener and aims at that, so CI can smoke the
@@ -61,7 +60,7 @@ func main() {
 		sizeMin     = flag.Int("size-min", 1, "minimum job size in nodes")
 		sizeMax     = flag.Int("size-max", 32, "maximum job size in nodes")
 		wideFrac    = flag.Float64("wide-frac", 0, "fraction of requests that submit one cross-shard-sized job (sharded targets only)")
-		elasticFrac = flag.Float64("elastic-frac", 0, "fraction of jobs submitted with elastic bounds (min_nodes=size/2, max_nodes=2*size) and alternating priority; requires an elastic target (in-process daemons turn -elastic on automatically)")
+		elasticFrac = flag.Float64("elastic-frac", 0, "fraction of jobs submitted with elastic bounds (min_nodes=size/2, max_nodes=2*size) and alternating priority")
 		jobRun      = flag.Float64("job-runtime", 60, "submitted job runtime in (virtual) seconds")
 		seed        = flag.Int64("seed", 1, "job-mix RNG seed")
 		records     = flag.String("records", "", "write one JSON line per request to this file")
@@ -126,16 +125,14 @@ type config struct {
 // closed-loop back-off a 429 triggered, kept separate from LatencyMS so
 // shed-heavy runs don't distort the latency percentiles.
 type record struct {
-	T         float64 `json:"t"` // seconds since run start, at request send
+	// T is seconds since run start at which the request's latency clock
+	// started: its send time (closed loop) or due time (open loop).
+	T         float64 `json:"t"`
 	Worker    int     `json:"worker"`
 	Status    int     `json:"status"` // 0 on transport error
 	Jobs      int     `json:"jobs"`   // jobs accepted by this request
 	LatencyMS float64 `json:"latency_ms"`
 	BackoffMS float64 `json:"backoff_ms,omitempty"`
-	// OpenBackoffMS is the arrival-schedule pause this request's 429 added
-	// in open-loop mode (only the extension beyond any pause already
-	// pending, so summing the column gives total paused time).
-	OpenBackoffMS float64 `json:"open_backoff_ms,omitempty"`
 	// Wide marks a cross-shard-sized submission (-wide-frac); narrow and wide
 	// latencies are split in the summary so a waiting wide job's effect on
 	// single-shard traffic is measurable from the records alone.
@@ -161,12 +158,9 @@ type collector struct {
 	wideJobs atomic.Int64 // wide jobs accepted
 	backoff  atomic.Int64 // closed-loop 429 back-off, nanoseconds
 	backoffs atomic.Int64 // back-off sleeps taken
-
-	openBackoff  atomic.Int64 // open-loop 429 arrival pause, nanoseconds
-	openBackoffs atomic.Int64 // open-loop pauses (extensions) taken
 }
 
-func (c *collector) note(worker int, sentAt time.Time, d time.Duration, status, jobs int, wide bool, backoff, openBackoff time.Duration, err error) {
+func (c *collector) note(worker int, from time.Time, d time.Duration, status, jobs int, wide bool, backoff time.Duration, err error) {
 	c.requests.Add(1)
 	switch {
 	case err != nil:
@@ -194,20 +188,15 @@ func (c *collector) note(worker int, sentAt time.Time, d time.Duration, status, 
 		c.backoff.Add(int64(backoff))
 		c.backoffs.Add(1)
 	}
-	if openBackoff > 0 {
-		c.openBackoff.Add(int64(openBackoff))
-		c.openBackoffs.Add(1)
-	}
 	if c.enc != nil {
 		r := record{
-			T:             sentAt.Sub(c.start).Seconds(),
-			Worker:        worker,
-			Status:        status,
-			Jobs:          jobs,
-			LatencyMS:     d.Seconds() * 1e3,
-			BackoffMS:     backoff.Seconds() * 1e3,
-			OpenBackoffMS: openBackoff.Seconds() * 1e3,
-			Wide:          wide,
+			T:         from.Sub(c.start).Seconds(),
+			Worker:    worker,
+			Status:    status,
+			Jobs:      jobs,
+			LatencyMS: d.Seconds() * 1e3,
+			BackoffMS: backoff.Seconds() * 1e3,
+			Wide:      wide,
 		}
 		if err != nil {
 			r.Err = err.Error()
@@ -306,7 +295,6 @@ func startInProcess(cfg config) (func(), string, error) {
 		Alloc:        a,
 		VirtualClock: cfg.clock == "virtual",
 		Shards:       cfg.shards,
-		Elastic:      cfg.elasticFrac > 0,
 	})
 	if err != nil {
 		return nil, "", err
@@ -487,7 +475,7 @@ func runClosed(ctx context.Context, cfg config, client *http.Client, base string
 				if err == nil && status == http.StatusTooManyRequests {
 					backoff = backoffFor(retryAfter, rng)
 				}
-				col.note(w, t0, time.Since(t0), status, jobs, wide, backoff, 0, err)
+				col.note(w, t0, time.Since(t0), status, jobs, wide, backoff, err)
 				if backoff > 0 {
 					select {
 					case <-ctx.Done():
@@ -501,40 +489,14 @@ func runClosed(ctx context.Context, cfg config, client *http.Client, base string
 	wg.Wait()
 }
 
-// extendPause advances the shared pause deadline to now+b and returns the
-// pause actually added: the full b when no pause was pending, only the
-// extension when one was, and 0 when an earlier 429 already paused past the
-// new deadline. Keeping only the increment means the open-loop back-off
-// totals sum to real paused wall time even when a burst of 429s lands at
-// once.
-func extendPause(pauseUntil *atomic.Int64, b time.Duration, now time.Time) time.Duration {
-	deadline := now.Add(b).UnixNano()
-	for {
-		cur := pauseUntil.Load()
-		if deadline <= cur {
-			return 0
-		}
-		if pauseUntil.CompareAndSwap(cur, deadline) {
-			if cur > now.UnixNano() {
-				return time.Duration(deadline - cur)
-			}
-			return b
-		}
-	}
-}
-
-// runOpen is the open loop: requests start at a fixed rate regardless of how
-// fast responses come back, so latency reflects queueing at the offered
-// load. In-flight requests are capped to keep a stalled server from
+// runOpen is the open loop: request i falls due at start + (i+1)/rate
+// regardless of how fast responses come back, and its latency is timed from
+// that due time, so queueing at the offered load — including a stall of the
+// server, or of the generator itself — counts against every request due
+// while it lasted. A 429 counts as shed; the schedule never pauses for its
+// Retry-After. In-flight requests are capped to keep a stalled server from
 // spawning unbounded goroutines; arrivals past the cap are counted as
 // errors (the generator itself became the bottleneck).
-//
-// A 429 pauses the arrival schedule for the server's Retry-After hint (with
-// the same jitter policy as the closed loop; see backoffFor): arrivals are
-// deferred, not dropped, and the schedule resumes from the pause end rather
-// than bursting to catch up. Pause time is counted separately from the
-// closed loop's per-worker sleeps, in the records (open_backoff_ms) and the
-// summary (open_backoff_s / open_backoffs).
 func runOpen(ctx context.Context, cfg config, client *http.Client, base string, col *collector) {
 	if cfg.rate <= 0 {
 		return
@@ -542,33 +504,11 @@ func runOpen(ctx context.Context, cfg config, client *http.Client, base string, 
 	interval := time.Duration(float64(time.Second) / cfg.rate)
 	inflight := make(chan struct{}, 4096)
 	rng := rand.New(rand.NewSource(cfg.seed))
-	// Response goroutines draw back-off jitter from their own guarded rng so
-	// arrival-body generation stays deterministic per seed.
-	var pauseRngMu sync.Mutex
-	pauseRng := rand.New(rand.NewSource(cfg.seed + 1))
-	var pauseUntil atomic.Int64 // unix nanos; arrivals wait while now < pauseUntil
 	var wg sync.WaitGroup
-	next := time.Now()
+	due := time.Now()
 	for i := 0; ctx.Err() == nil; i++ {
-		// Honor any pending 429 pause before scheduling the next arrival.
-		for {
-			p := pauseUntil.Load()
-			if p <= time.Now().UnixNano() {
-				break
-			}
-			end := time.Unix(0, p)
-			select {
-			case <-ctx.Done():
-				wg.Wait()
-				return
-			case <-time.After(time.Until(end)):
-			}
-			if next.Before(end) {
-				next = end
-			}
-		}
-		next = next.Add(interval)
-		if d := time.Until(next); d > 0 {
+		due = due.Add(interval)
+		if d := time.Until(due); d > 0 {
 			select {
 			case <-ctx.Done():
 				wg.Wait()
@@ -585,20 +525,12 @@ func runOpen(ctx context.Context, cfg config, client *http.Client, base string, 
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, due time.Time) {
 			defer wg.Done()
 			defer func() { <-inflight }()
-			t0 := time.Now()
-			status, jobs, retryAfter, err := doRequest(cfg, client, base, path, body)
-			var openBackoff time.Duration
-			if err == nil && status == http.StatusTooManyRequests {
-				pauseRngMu.Lock()
-				b := backoffFor(retryAfter, pauseRng)
-				pauseRngMu.Unlock()
-				openBackoff = extendPause(&pauseUntil, b, time.Now())
-			}
-			col.note(i%cfg.workers, t0, time.Since(t0), status, jobs, wide, 0, openBackoff, err)
-		}(i)
+			status, jobs, _, err := doRequest(cfg, client, base, path, body)
+			col.note(i%cfg.workers, due, time.Since(due), status, jobs, wide, 0, err)
+		}(i, due)
 	}
 	wg.Wait()
 }
@@ -635,8 +567,6 @@ func report(cfg config, col *collector, elapsed float64) error {
 			"latency_max_ms": max * 1e3,
 			"backoff_s":      time.Duration(col.backoff.Load()).Seconds(),
 			"backoffs":       col.backoffs.Load(),
-			"open_backoff_s": time.Duration(col.openBackoff.Load()).Seconds(),
-			"open_backoffs":  col.openBackoffs.Load(),
 		}
 		if cfg.wideFrac > 0 {
 			sort.Float64s(latNarrow)
@@ -668,8 +598,6 @@ func report(cfg config, col *collector, elapsed float64) error {
 		}
 		fmt.Printf("backoff:  %.3fs total across %d 429 sleeps\n",
 			time.Duration(col.backoff.Load()).Seconds(), col.backoffs.Load())
-		fmt.Printf("open:     %.3fs arrival pause across %d 429 extensions\n",
-			time.Duration(col.openBackoff.Load()).Seconds(), col.openBackoffs.Load())
 	}
 
 	if cfg.failOnError && col.errors.Load() > 0 {

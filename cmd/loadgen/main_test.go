@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
+	"sort"
 	"testing"
 	"time"
 )
@@ -71,70 +74,70 @@ func TestBackoffFor(t *testing.T) {
 	}
 }
 
-// TestExtendPause pins the open-loop pause accounting: a fresh pause counts
-// in full, overlapping pauses count only their extension, and pauses already
-// covered by a longer one count zero — so the open_backoff_s total sums to
-// real paused wall time no matter how many 429s land at once.
-func TestExtendPause(t *testing.T) {
-	var pauseUntil atomic.Int64
-	now := time.Now()
-
-	if got := extendPause(&pauseUntil, time.Second, now); got != time.Second {
-		t.Fatalf("fresh pause = %v, want 1s", got)
-	}
-	// A longer pause arriving mid-window counts only the extension.
-	if got := extendPause(&pauseUntil, 1500*time.Millisecond, now); got != 500*time.Millisecond {
-		t.Fatalf("overlapping pause = %v, want 500ms", got)
-	}
-	// A shorter pause is already covered: no extension, nothing counted.
-	if got := extendPause(&pauseUntil, time.Second, now); got != 0 {
-		t.Fatalf("covered pause = %v, want 0", got)
-	}
-	if want := now.Add(1500 * time.Millisecond).UnixNano(); pauseUntil.Load() != want {
-		t.Fatalf("deadline = %d, want %d", pauseUntil.Load(), want)
-	}
-	// After the window has passed, a new pause counts in full again.
-	later := now.Add(2 * time.Second)
-	if got := extendPause(&pauseUntil, time.Second, later); got != time.Second {
-		t.Fatalf("post-expiry pause = %v, want 1s", got)
-	}
-}
-
-// TestOpenLoopHonorsRetryAfter runs the open loop against a server that sheds
-// everything with Retry-After: 1 and checks the arrival schedule actually
-// pauses (far fewer requests than the offered rate would produce) and that
-// the pause is accounted in the open-loop counters, not the closed-loop ones.
-func TestOpenLoopHonorsRetryAfter(t *testing.T) {
+// TestOpenLoopTimesFromDueTime runs the open loop against a server that
+// holds every response until a release instant and then sheds it with
+// Retry-After: 1. Every request due before the release must report a latency
+// reaching at least to the release (timed from its due time, so the stall
+// counts against each request due while it lasted), and the 429s must not
+// pause the arrival schedule.
+func TestOpenLoopTimesFromDueTime(t *testing.T) {
+	start := time.Now()
+	release := start.Add(150 * time.Millisecond)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Until(release))
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusTooManyRequests)
 	}))
 	defer hs.Close()
 
-	cfg := config{mode: "open", rate: 1000, workers: 1, batch: 1,
+	cfg := config{mode: "open", rate: 200, workers: 1, batch: 1,
 		sizeMin: 1, sizeMax: 1, jobRuntime: 1, seed: 42}
-	col := &collector{start: time.Now()}
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	var buf bytes.Buffer
+	col := &collector{start: start, enc: json.NewEncoder(&buf)}
+	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
 	defer cancel()
 	runOpen(ctx, cfg, hs.Client(), hs.URL, col)
 
+	// 600ms at 200/s is ~120 arrivals; a schedule paused by the first
+	// Retry-After would stop near the ~30 due before the release.
 	reqs := col.requests.Load()
-	if reqs == 0 {
-		t.Fatal("open loop sent nothing")
-	}
-	// 500ms at 1000/s would be ~500 arrivals un-paused; with every response
-	// shed and a >=1s Retry-After, the schedule pauses after the first burst.
-	if reqs > 50 {
-		t.Fatalf("open loop sent %d requests; Retry-After not honored", reqs)
-	}
-	if col.openBackoffs.Load() == 0 || col.openBackoff.Load() == 0 {
-		t.Fatalf("open-loop pause not counted: %d pauses, %dns",
-			col.openBackoffs.Load(), col.openBackoff.Load())
-	}
-	if col.backoffs.Load() != 0 {
-		t.Fatalf("closed-loop backoff counter moved in open mode: %d", col.backoffs.Load())
+	if reqs < 60 {
+		t.Fatalf("open loop sent %d requests; the schedule paused on 429", reqs)
 	}
 	if col.shed.Load() != reqs {
 		t.Fatalf("shed %d of %d requests", col.shed.Load(), reqs)
+	}
+	if col.backoffs.Load() != 0 {
+		t.Fatalf("open loop took %d back-off sleeps", col.backoffs.Load())
+	}
+	stalled := 0
+	var ts []float64
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var r record
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		ts = append(ts, r.T)
+		releaseAt := release.Sub(start).Seconds()
+		if r.T >= releaseAt {
+			continue
+		}
+		stalled++
+		if end := r.T + r.LatencyMS/1e3; end < releaseAt {
+			t.Fatalf("request due at %.4fs reports latency %.3fms, ending before the release at %.4fs",
+				r.T, r.LatencyMS, releaseAt)
+		}
+	}
+	if stalled == 0 {
+		t.Fatal("no request fell due during the stall")
+	}
+	// Latency clocks start on the schedule grid, not at the (jittered) send.
+	sort.Float64s(ts)
+	step := 1 / cfg.rate
+	for _, v := range ts {
+		if k := (v - ts[0]) / step; math.Abs(k-math.Round(k)) > 1e-3 {
+			t.Fatalf("record at %.6fs is off the %gs schedule grid started at %.6fs", v, step, ts[0])
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Elastic (malleable) scheduling: the engine's shrink/grow/preempt moves and
-// the deadline admission verdict (DESIGN.md §18). Everything in this file is
-// doubly gated — Config.Elastic must be set AND the job must actually declare
-// elastic fields (trace.Job MinNodes/MaxNodes/Priority/Deadline) — so a trace
-// of rigid jobs schedules bit-for-bit identically with Elastic on or off: no
-// extra allocator calls, no AllocCalls drift, no feasibility-cache churn.
+// the deadline admission verdict (DESIGN.md §18). Every path in this file
+// runs only for jobs that declare elastic fields (trace.Job MinNodes,
+// MaxNodes, Priority, Deadline), so a trace of rigid jobs schedules exactly
+// as it would with the malleability layer absent: no extra allocator calls,
+// no AllocCalls drift, no feasibility-cache churn.
 //
 // All three moves conserve work. A job resized from oldSize to newSize with
 // remain seconds left keeps running with remain*oldSize/newSize seconds left
@@ -26,11 +26,11 @@ import (
 )
 
 // Verdict is the deadline/SLA admission answer computed at submit time for
-// elastic jobs that declare a deadline (Config.Elastic, trace.Job.Deadline).
+// jobs that declare a deadline (trace.Job.Deadline).
 type Verdict int
 
 const (
-	// VerdictNone marks jobs with no deadline (or a non-elastic engine).
+	// VerdictNone marks jobs with no deadline.
 	VerdictNone Verdict = iota
 	// VerdictAccepted: the EASY-style earliest-start estimate has the job
 	// completing by its deadline.
@@ -249,16 +249,14 @@ func (e *Engine) urgent(head *jobItem, now float64) bool {
 }
 
 // tryPreempt checkpoint-requeues strictly-lower-priority running jobs to
-// make room for a blocked urgent head. Victims are released one at a time —
-// cheapest first (lowest priority, then largest size, then lowest ID) — and
-// the head is retried after each, so only the minimal prefix is displaced.
+// make room for a blocked urgent head (the caller checks urgent). Victims
+// are released one at a time — cheapest first (lowest priority, then
+// largest size, then lowest ID) — and the head is retried after each, so
+// only the minimal prefix is displaced.
 // On success the displaced victims requeue with their remaining runtime
 // (checkpointed) and the head's charged placement is returned; on failure
 // every release is undone and nothing observable changes.
 func (e *Engine) tryPreempt(head *jobItem, now float64) (*topology.Placement, bool) {
-	if !e.urgent(head, now) {
-		return nil, false
-	}
 	var victims []*runningJob
 	for rj := range e.running {
 		if rj.it.j.Priority < head.j.Priority && rj.end-now > timeEps {

@@ -24,7 +24,6 @@ func newElasticEngine(t *testing.T, a alloc.Allocator) *engine.Engine {
 		Alloc:     a,
 		Window:    10,
 		OnFailure: engine.FailShrink,
-		Elastic:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +150,42 @@ func TestElasticGrowIntoFreedCapacity(t *testing.T) {
 	}
 	if err := eng.Config().Alloc.State().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestElasticGrowAfterRigidHistory: an engine that has so far run only
+// rigid jobs (so growPass has been skipped on every drained queue) still
+// grows the first malleable job it is given once the queue drains.
+func TestElasticGrowAfterRigidHistory(t *testing.T) {
+	tree := topology.MustNew(8)
+	eng, err := engine.New(engine.Config{Alloc: core.NewAllocator(tree)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 20; i++ {
+		if err := eng.Submit(trace.Job{ID: i, Size: int(i%4+1) * 16, Arrival: float64(i), Runtime: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainEngine(eng)
+
+	half := tree.Nodes() / 2
+	at := eng.Now() + 10
+	for _, j := range []trace.Job{
+		{ID: 100, Size: half, Arrival: at, Runtime: 100, MaxNodes: tree.Nodes()},
+		{ID: 101, Size: half, Arrival: at, Runtime: 50},
+	} {
+		if err := eng.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainEngine(eng)
+	if c := eng.Counts(); c.Grown != 1 || c.Completed != 22 {
+		t.Fatalf("counts %+v, want Grown=1 and all 22 jobs completed", c)
+	}
+	// Doubled at at+50 with 50s left -> 25s left.
+	if st, _ := eng.Status(100); st.Job.Size != tree.Nodes() || math.Abs(st.End-(at+75)) > 1e-9 {
+		t.Fatalf("malleable job ended at %v on %d nodes, want %v on %d", st.End, st.Job.Size, at+75, tree.Nodes())
 	}
 }
 
@@ -366,39 +401,21 @@ func TestFailShrinkDeprecatedAlias(t *testing.T) {
 }
 
 // TestRigidShrinkPolicyFallsBackToRequeue pins the policy-matrix corner: a
-// rigid job under FailShrink behaves exactly like FailRequeue, and an
-// elastic job on a NON-elastic engine does too (double gating).
+// rigid job under FailShrink behaves exactly like FailRequeue.
 func TestRigidShrinkPolicyFallsBackToRequeue(t *testing.T) {
-	tree := topology.MustNew(8)
-	for _, tc := range []struct {
-		name    string
-		elastic bool
-		job     trace.Job
-	}{
-		{"rigid-job", true, trace.Job{ID: 1, Size: tree.Nodes(), Arrival: 0, Runtime: 100}},
-		{"elastic-config-off", false, trace.Job{ID: 1, Size: tree.Nodes(), Arrival: 0, Runtime: 100, MinNodes: 4}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, err := engine.New(engine.Config{
-				Alloc:     core.NewAllocator(tree),
-				Window:    10,
-				OnFailure: engine.FailShrink,
-				Elastic:   tc.elastic,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Submit(tc.job); err != nil {
-				t.Fatal(err)
-			}
-			eng.Step()
-			rep, err := eng.Fail(topology.NodeFailure(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Shrunk != 0 || rep.Requeued != 1 {
-				t.Fatalf("report %+v, want a plain requeue", rep)
-			}
-		})
-	}
+	t.Run("rigid-job", func(t *testing.T) {
+		tree := topology.MustNew(8)
+		eng := newElasticEngine(t, core.NewAllocator(tree))
+		if err := eng.Submit(trace.Job{ID: 1, Size: tree.Nodes(), Arrival: 0, Runtime: 100}); err != nil {
+			t.Fatal(err)
+		}
+		eng.Step()
+		rep, err := eng.Fail(topology.NodeFailure(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Shrunk != 0 || rep.Requeued != 1 {
+			t.Fatalf("report %+v, want a plain requeue", rep)
+		}
+	})
 }

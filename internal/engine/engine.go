@@ -68,6 +68,7 @@ type Config struct {
 	// Alloc is the placement policy; required.
 	Alloc alloc.Allocator
 	// Scenario assigns isolated-execution speed-ups; nil means none apply.
+	// Only isolating policies speed jobs up (see EffectiveRuntime).
 	Scenario scenario.Scenario
 	// Window is the EASY backfill lookahead; 0 means DefaultWindow.
 	Window int
@@ -76,8 +77,6 @@ type Config struct {
 	// Conservative restricts backfilling to candidates that finish by the
 	// head's shadow time (see sched.Scheduler.Conservative).
 	Conservative bool
-	// ApplySpeedups scales runtimes by the scenario.
-	ApplySpeedups bool
 	// MeasureAllocTime records wall-clock time spent in Allocate calls on
 	// the live state (Table 3). Disable for deterministic tests.
 	MeasureAllocTime bool
@@ -89,19 +88,6 @@ type Config struct {
 	// OnFailure selects what happens to running jobs whose allocation
 	// intersects an injected failure (Fail). The zero value is FailRequeue.
 	OnFailure FailurePolicy
-	// Elastic enables the malleability moves (DESIGN.md §18): shrink on
-	// failure under FailShrink, grow into freed capacity, priority
-	// preemption, and deadline admission verdicts. Every elastic path is
-	// additionally gated on the job actually declaring elastic fields
-	// (MinNodes/MaxNodes/Priority/Deadline), so a trace of rigid jobs is
-	// scheduled bit-for-bit identically with Elastic on or off.
-	Elastic bool
-	// TotalNodes overrides the cluster size reported by the engine
-	// (TotalNodes, Snapshot, utilization denominators). Zero means the
-	// allocator tree's node count. A cell-restricted shard sets this to its
-	// cell's node count so per-shard utilization is meaningful even though
-	// the shard's State spans the full-geometry tree (topology.RestrictToPods).
-	TotalNodes int
 }
 
 // FailurePolicy selects the engine's treatment of running jobs hit by a
@@ -116,10 +102,9 @@ const (
 	FailKill
 	// FailShrink re-places an affected malleable job (trace.Job.MinSize
 	// below its size) on the surviving fabric at the largest legal size in
-	// [MinSize, Size], conserving its remaining work (DESIGN.md §18). It
-	// requires Config.Elastic; rigid jobs — and every job when Elastic is
-	// off — fall back to whole-job requeue, making the policy behaviorally
-	// identical to FailRequeue on pre-elastic traces.
+	// [MinSize, Size], conserving its remaining work (DESIGN.md §18). Rigid
+	// jobs fall back to whole-job requeue, making the policy behaviorally
+	// identical to FailRequeue on traces of rigid jobs.
 	FailShrink
 )
 
@@ -263,8 +248,7 @@ type JobStatus struct {
 	// completion time, or the cancellation time for cancelled running jobs.
 	Start, End float64
 	// Verdict is the deadline admission verdict computed at submit time
-	// (VerdictNone unless the engine is elastic and the job declared a
-	// deadline).
+	// (VerdictNone unless the job declared a deadline).
 	Verdict Verdict
 }
 
@@ -297,7 +281,8 @@ type jobItem struct {
 	start float64
 	end   float64
 	rj    *runningJob
-	// verdict is the submit-time deadline admission verdict (elastic only).
+	// verdict is the submit-time deadline admission verdict (deadline jobs
+	// only).
 	verdict Verdict
 }
 
@@ -410,6 +395,11 @@ type Engine struct {
 	steadyIntegral  float64
 	lastEndIntegral float64
 
+	// growable is set once any submitted job declares MaxNodes above its
+	// size. Until then growPass, whose candidate scan is O(running), cannot
+	// find a candidate and is skipped; the flag never clears.
+	growable bool
+
 	acc         Accounting
 	counts      Counts
 	haveArrival bool
@@ -431,7 +421,7 @@ func New(cfg Config) (*Engine, error) {
 		window:    w,
 		running:   map[*runningJob]struct{}{},
 		jobs:      map[int64]*jobItem{},
-		total:     totalNodes(cfg),
+		total:     cfg.Alloc.State().CellNodes(),
 		txnAlloc:  txn,
 		elasticPF: pf,
 		feasMin:   maxInt,
@@ -447,20 +437,15 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-func totalNodes(cfg Config) int {
-	if cfg.TotalNodes > 0 {
-		return cfg.TotalNodes
-	}
-	return cfg.Alloc.Tree().Nodes()
-}
-
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
 // Now returns the engine's virtual time.
 func (e *Engine) Now() float64 { return e.now }
 
-// TotalNodes returns the simulated cluster size.
+// TotalNodes returns the size of the cluster the engine schedules: the
+// allocator state's cell (topology.State.CellNodes), which is the whole
+// fabric unless the state was restricted to a shard's pods.
 func (e *Engine) TotalNodes() int { return e.total }
 
 // UsedNodes returns the requested-size sum of running jobs.
@@ -504,14 +489,15 @@ func (e *Engine) Submit(j trace.Job) error {
 	if j.Arrival < e.now {
 		j.Arrival = e.now
 	}
-	it := &jobItem{j: j, eff: e.effRuntime(j), state: StateQueued}
+	it := &jobItem{j: j, eff: EffectiveRuntime(e.cfg.Alloc, e.cfg.Scenario, j), state: StateQueued}
 	e.jobs[j.ID] = it
+	e.growable = e.growable || j.MaxSize() > j.Size
 	if !e.haveArrival || j.Arrival < e.acc.FirstArrival {
 		e.acc.FirstArrival = j.Arrival
 		e.haveArrival = true
 	}
 	e.counts.Submitted++
-	if e.cfg.Elastic && j.Deadline > 0 {
+	if j.Deadline > 0 {
 		// Deadline admission (DESIGN.md §18): a verdict is advisory unless
 		// it is VerdictRejected, in which case the job is refused outright —
 		// it can provably never meet its deadline (or never fit at all).
@@ -643,15 +629,14 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 			e.counts.Killed++
 			rep.Killed++
 			e.acc.Killed = append(e.acc.Killed, it.j)
-		case e.cfg.OnFailure == FailShrink && e.cfg.Elastic &&
-			it.j.MinSize() < it.j.Size && rj.end-now > timeEps:
+		case e.cfg.OnFailure == FailShrink && it.j.MinSize() < it.j.Size && rj.end-now > timeEps:
 			// Deferred: the replacement search must run on the post-Apply
 			// state so it cannot touch the failed resources. The job stays
 			// StateRunning through the resolution below.
 			shrinkable = append(shrinkable, shrinkCand{it: it, remain: rj.end - now})
 		default:
-			// FailRequeue — and FailShrink for rigid jobs (or with Elastic
-			// off): whole-job requeue, full rerun.
+			// FailRequeue — and FailShrink for rigid jobs: whole-job
+			// requeue, full rerun.
 			it.state = StateQueued
 			it.start, it.end = 0, 0
 			e.queue = append(e.queue, it)
@@ -828,12 +813,17 @@ func (e *Engine) Snapshot() Snapshot {
 	return s
 }
 
-// effRuntime applies the scenario to a job's runtime.
-func (e *Engine) effRuntime(j trace.Job) float64 {
-	if !e.cfg.ApplySpeedups || e.cfg.Scenario == nil {
+// EffectiveRuntime is the runtime job j runs for under policy a and
+// scenario sc. Speed-ups model the benefit of isolation (Section 5.4.1), so
+// every isolating policy runs a job at its scenario speed-up while the
+// Baseline, whose jobs share links, never speeds one up. A nil scenario
+// means no speed-ups. The engine and the daemon's cross-shard coordinator
+// both decide runtimes here.
+func EffectiveRuntime(a alloc.Allocator, sc scenario.Scenario, j trace.Job) float64 {
+	if sc == nil || a.Name() == "Baseline" {
 		return j.Runtime
 	}
-	return scenario.IsolatedRuntime(e.cfg.Scenario, j)
+	return scenario.IsolatedRuntime(sc, j)
 }
 
 // observe records the per-event utilization sample and steady-state cutoff.
@@ -971,12 +961,12 @@ func (e *Engine) popHead() {
 	e.queue = e.queue[1:]
 }
 
-// schedule starts queued jobs — FIFO first, then EASY backfill — and, on an
-// elastic engine whose queue drained, offers leftover capacity to running
-// malleable jobs (growPass).
+// schedule starts queued jobs — FIFO first, then EASY backfill — and, once
+// the queue has drained, offers leftover capacity to running jobs that
+// declared room to grow (growPass).
 func (e *Engine) schedule(now float64) {
 	e.scheduleQueue(now)
-	if e.cfg.Elastic && len(e.queue) == 0 {
+	if e.growable && len(e.queue) == 0 {
 		e.growPass(now)
 	}
 }
@@ -992,7 +982,7 @@ func (e *Engine) scheduleQueue(now float64) {
 				break
 			}
 			pl, ok := e.allocate(head)
-			if !ok && e.cfg.Elastic {
+			if !ok && e.urgent(head, now) {
 				// A blocked urgent head (positive priority, or a deadline
 				// still achievable) may checkpoint-requeue strictly-lower-
 				// priority victims to make room.

@@ -46,7 +46,6 @@ func runMalleabilityChaos(t *testing.T, policy string, seed int64) int64 {
 		Alloc:     newPolicy(t, policy, tree),
 		Window:    10,
 		OnFailure: engine.FailShrink,
-		Elastic:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

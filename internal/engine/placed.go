@@ -41,6 +41,7 @@ func (e *Engine) StartPlaced(j trace.Job, eff float64, pl *topology.Placement) (
 	e.cfg.Alloc.Mirror(pl)
 	it := &jobItem{j: j, eff: eff, state: StateQueued}
 	e.jobs[j.ID] = it
+	e.growable = e.growable || j.MaxSize() > j.Size
 	if !e.haveArrival || j.Arrival < e.acc.FirstArrival {
 		e.acc.FirstArrival = j.Arrival
 		e.haveArrival = true

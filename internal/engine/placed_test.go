@@ -89,18 +89,18 @@ func TestStartPlacedFutureArrivalClamped(t *testing.T) {
 
 // TestStartPlacedOnRestrictedShard mirrors the cross-shard composition onto
 // a cell-restricted engine and checks the per-shard utilization denominator
-// honors Config.TotalNodes.
+// is the cell, derived from the restricted state with no configuration.
 func TestStartPlacedOnRestrictedShard(t *testing.T) {
 	tree := topology.MustNew(8)
 	a := baseline.NewAllocator(tree)
 	a.State().RestrictToPods(0, 2)
 	cell := 2 * tree.PodNodes()
-	e, err := New(Config{Alloc: a, Scenario: scenario.None{}, TotalNodes: cell})
+	e, err := New(Config{Alloc: a, Scenario: scenario.None{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.TotalNodes() != cell {
-		t.Fatalf("TotalNodes = %d, want %d", e.TotalNodes(), cell)
+	if e.TotalNodes() != cell || e.Snapshot().TotalNodes != cell {
+		t.Fatalf("TotalNodes = %d (snapshot %d), want the cell's %d", e.TotalNodes(), e.Snapshot().TotalNodes, cell)
 	}
 
 	pl := placementFor(t, e, 5, cell) // the whole cell
@@ -113,5 +113,24 @@ func TestStartPlacedOnRestrictedShard(t *testing.T) {
 	drain(e)
 	if u := e.SteadyUtilization(); u != 1 {
 		t.Fatalf("SteadyUtilization = %g, want 1 (cell-sized denominator)", u)
+	}
+}
+
+// TestStartPlacedMalleableJobGrows: a job admitted through StartPlaced that
+// declares MaxNodes grows once the queue drains, like a submitted one.
+func TestStartPlacedMalleableJobGrows(t *testing.T) {
+	e := newEngine(t, 8)
+	half := e.TotalNodes() / 2
+	j := job(1, half, 0, 0)
+	j.MaxNodes = e.TotalNodes()
+	if _, err := e.StartPlaced(j, 100, placementFor(t, e, 1, half)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit(job(2, half, 0, 50)); err != nil {
+		t.Fatal(err)
+	}
+	drain(e)
+	if st, _ := e.Status(1); e.Counts().Grown != 1 || st.Job.Size != e.TotalNodes() {
+		t.Fatalf("counts %+v, job %+v; want job 1 grown to the whole machine", e.Counts(), st.Job)
 	}
 }

@@ -43,7 +43,6 @@ func runShrinkGrowDiff(t *testing.T, data []byte) {
 		}
 		cfg.Window = 10
 		cfg.OnFailure = engine.FailShrink
-		cfg.Elastic = true
 		eng, err := engine.New(cfg)
 		if err != nil {
 			t.Fatal(err)

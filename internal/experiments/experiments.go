@@ -63,10 +63,6 @@ type Config struct {
 	FailEvents []failtrace.Event
 	// FailPolicy picks what happens to running jobs hit by a failure.
 	FailPolicy engine.FailurePolicy
-	// Elastic enables the malleability paths for jobs that declare elastic
-	// fields; the paper's rigid traces run bit-for-bit identically with it
-	// on or off, so it only matters with FailPolicy shrink and a fail trace.
-	Elastic bool
 }
 
 func (c Config) out() io.Writer {
@@ -142,7 +138,6 @@ func (c Config) run(tr *trace.Trace, scheme string, sc scenario.Scenario, measur
 	s.MeasureAllocTime = measureTime
 	s.FailEvents = c.FailEvents
 	s.OnFailure = c.FailPolicy
-	s.Elastic = c.Elastic
 	return s.Run(tr)
 }
 

@@ -89,8 +89,18 @@ func TestSchedulerIntegration(t *testing.T) {
 	if a.FreeNodes() != tree.Nodes() {
 		t.Fatal("leak")
 	}
-	if s.ApplySpeedups != true {
-		t.Fatal("Jigsaw+S is (nearly) isolating; speed-ups apply")
+	// Jigsaw+S is (nearly) isolating, so speed-ups apply.
+	sped := 0
+	for _, r := range res.Records {
+		if r.Runtime != scenario.IsolatedRuntime(s.Scenario, r.Job) {
+			t.Fatalf("job %d ran %g, want the isolated runtime", r.Job.ID, r.Runtime)
+		}
+		if r.Runtime < r.Job.Runtime {
+			sped++
+		}
+	}
+	if sped == 0 {
+		t.Fatal("no job sped up under Jigsaw+S")
 	}
 }
 

@@ -27,7 +27,9 @@ const DefaultWindow = engine.DefaultWindow
 
 // Scheduler runs one trace against one allocator under one scenario.
 type Scheduler struct {
-	Alloc    alloc.Allocator
+	Alloc alloc.Allocator
+	// Scenario assigns isolated-execution speed-ups; they apply under every
+	// policy but the Baseline (engine.EffectiveRuntime).
 	Scenario scenario.Scenario
 	// Window is the EASY backfill lookahead; 0 means DefaultWindow.
 	Window int
@@ -41,9 +43,6 @@ type Scheduler struct {
 	// per-job reservation profile (which is prohibitively expensive under
 	// placement constraints).
 	Conservative bool
-	// ApplySpeedups scales runtimes by the scenario (set for isolating
-	// schedulers; Baseline jobs never speed up).
-	ApplySpeedups bool
 	// MeasureAllocTime records wall-clock time spent in Allocate calls on
 	// the live state (Table 3). Disable for deterministic tests.
 	MeasureAllocTime bool
@@ -52,21 +51,14 @@ type Scheduler struct {
 	FailEvents []failtrace.Event
 	// OnFailure picks what happens to running jobs hit by a failure.
 	OnFailure engine.FailurePolicy
-	// Elastic enables the malleability paths (shrink under FailShrink,
-	// grow into idle capacity, deadline admission, priority preemption)
-	// for jobs that declare elastic fields; rigid traces run identically
-	// with it on or off.
-	Elastic bool
 }
 
-// New returns a scheduler with the paper's defaults. Speed-ups apply unless
-// the allocator is the Baseline.
+// New returns a scheduler with the paper's defaults.
 func New(a alloc.Allocator, sc scenario.Scenario) *Scheduler {
 	return &Scheduler{
 		Alloc:            a,
 		Scenario:         sc,
 		Window:           DefaultWindow,
-		ApplySpeedups:    a.Name() != "Baseline",
 		MeasureAllocTime: true,
 	}
 }
@@ -116,9 +108,7 @@ func (s *Scheduler) Engine() (*engine.Engine, error) {
 		Window:           w,
 		DisableBackfill:  s.DisableBackfill,
 		Conservative:     s.Conservative,
-		ApplySpeedups:    s.ApplySpeedups,
 		OnFailure:        s.OnFailure,
-		Elastic:          s.Elastic,
 		MeasureAllocTime: s.MeasureAllocTime,
 	})
 }

@@ -59,7 +59,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/partition"
-	"repro/internal/scenario"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
@@ -107,9 +106,9 @@ type coordinator struct {
 	// composition attempts, infeasible the ones that found no shape (and
 	// parked nothing), conflicts the optimistic-validation retries.
 	// shrunkPlaced counts placements of malleable jobs below their
-	// requested size (Config.Elastic): when the full size composes no
-	// shape, the search retries at descending whole-leaf sizes down to
-	// max(MinSize, one full leaf — ComposeSubPod's granularity floor).
+	// requested size: when the full size composes no shape, the search
+	// retries at descending whole-leaf sizes down to max(MinSize, one full
+	// leaf — ComposeSubPod's granularity floor).
 	placed       int64
 	subpodPlaced int64
 	shrunkPlaced int64
@@ -164,10 +163,7 @@ func (c *coordinator) submit(j trace.Job) (engine.JobStatus, error) {
 	if !c.s.cfg.VirtualClock {
 		j.Arrival = c.s.cfg.NowFunc()
 	}
-	eff := j.Runtime
-	if c.s.cfg.ApplySpeedups && c.s.cfg.Scenario != nil {
-		eff = scenario.IsolatedRuntime(c.s.cfg.Scenario, j)
-	}
+	eff := engine.EffectiveRuntime(c.s.cfg.Alloc, c.s.cfg.Scenario, j)
 	cj := &crossJob{j: j, eff: eff}
 	c.mu.Lock()
 	if c.closed {
@@ -492,7 +488,7 @@ func (c *coordinator) tryPlace(cj *crossJob) (done, conflict bool) {
 	}
 	size := cj.j.Size
 	p, err := shard.ComposeSubPod(c.s.tree, cands, size)
-	if err != nil && c.s.cfg.Elastic && cj.j.MinSize() < cj.j.Size {
+	if err != nil && cj.j.MinSize() < cj.j.Size {
 		// Malleable wide job: retry at descending whole-leaf sizes. Sub-pod
 		// composition hands out fully-free leaves, so only leaf multiples
 		// yield distinct shapes; the floor is the larger of the job's MinSize

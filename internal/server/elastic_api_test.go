@@ -14,7 +14,11 @@ import (
 	"repro/internal/engine"
 )
 
-func TestElasticFieldsRequireElasticDaemon(t *testing.T) {
+// TestDefaultDaemonHonoursElasticFields: a daemon built from a Config that
+// says nothing about elasticity accepts every elastic field and echoes it
+// back; a job declaring max_nodes then grows into the capacity its rigid
+// neighbour frees.
+func TestDefaultDaemonHonoursElasticFields(t *testing.T) {
 	_, hs := newTestServer(t, Config{VirtualClock: true})
 	for _, body := range []string{
 		`{"size":4,"runtime":10,"min_nodes":2}`,
@@ -22,23 +26,32 @@ func TestElasticFieldsRequireElasticDaemon(t *testing.T) {
 		`{"size":4,"runtime":10,"priority":1}`,
 		`{"size":4,"runtime":10,"deadline":100}`,
 	} {
-		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		resp, j := postJob(t, hs.URL, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("body %s: status %d, want 202", body, resp.StatusCode)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: status %d, want 400 on a rigid daemon", body, resp.StatusCode)
+		if j.MinNodes+j.MaxNodes+j.Priority == 0 && j.Deadline == 0 {
+			t.Errorf("body %s: elastic field not echoed: %+v", body, j)
 		}
 	}
-	// The all-zero elastic fields are the rigid defaults and stay accepted.
-	if resp, _ := postJob(t, hs.URL, `{"size":4,"runtime":10,"min_nodes":0,"max_nodes":0,"priority":0,"deadline":0}`); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("rigid submit with explicit zero elastic fields: status %d", resp.StatusCode)
+	waitDrained(t, hs.URL)
+
+	// Two 8-node jobs fill the 16-node machine; when the rigid one ends the
+	// queue is empty and the malleable one grows to 16.
+	postJob(t, hs.URL, `{"id":100,"size":8,"runtime":100,"max_nodes":16}`)
+	postJob(t, hs.URL, `{"id":101,"size":8,"runtime":50}`)
+	waitDrained(t, hs.URL)
+	var got jobJSON
+	if code := getJSON(t, hs.URL+"/v1/jobs/100", &got); code != http.StatusOK {
+		t.Fatalf("get job status %d", code)
+	}
+	if got.State != "completed" || got.Size != 16 {
+		t.Fatalf("malleable job %+v, want completed at 16 nodes", got)
 	}
 }
 
 func TestElasticSubmitValidation(t *testing.T) {
-	_, hs := newTestServer(t, Config{VirtualClock: true, Elastic: true})
+	_, hs := newTestServer(t, Config{VirtualClock: true})
 	for _, tc := range []struct {
 		body, wantErr string
 	}{
@@ -79,7 +92,7 @@ func postForError(t *testing.T, url, body string) (int, string) {
 func TestElasticSubmitEchoesFieldsAndVerdict(t *testing.T) {
 	// Frozen wall clock: the blocker stays running so the deadline estimates
 	// below are computed against a full machine.
-	_, hs := newTestServer(t, Config{Elastic: true, NowFunc: func() float64 { return 0 }})
+	_, hs := newTestServer(t, Config{NowFunc: func() float64 { return 0 }})
 
 	// Blocker: the whole 16-node machine until t=100.
 	if resp, _ := postJob(t, hs.URL, `{"size":16,"runtime":100}`); resp.StatusCode != http.StatusAccepted {
@@ -122,7 +135,6 @@ func TestElasticSubmitEchoesFieldsAndVerdict(t *testing.T) {
 
 func TestShrinkPolicyOverAPI(t *testing.T) {
 	_, hs := newTestServer(t, Config{
-		Elastic:   true,
 		OnFailure: engine.FailShrink,
 		NowFunc:   func() float64 { return 0 },
 	})
@@ -182,7 +194,7 @@ func TestShrinkPolicyOverAPI(t *testing.T) {
 }
 
 func TestElasticBatchSubmit(t *testing.T) {
-	_, hs := newTestServer(t, Config{VirtualClock: true, Elastic: true})
+	_, hs := newTestServer(t, Config{VirtualClock: true})
 	body := `{"jobs":[
 		{"size":4,"runtime":10,"min_nodes":2,"max_nodes":8},
 		{"size":2,"runtime":5},

@@ -77,7 +77,7 @@ type lane struct {
 }
 
 func newLane(idx int, cell shard.Cell, eng *engine.Engine, virtualClock bool,
-	nowFunc func() float64, ingestQueue, maxBatch int) *lane {
+	nowFunc func() float64, ingestQueue int) *lane {
 	return &lane{
 		idx:          idx,
 		cell:         cell,

@@ -97,24 +97,18 @@ type Config struct {
 	// it must be freshly constructed (nothing allocated): each lane beyond
 	// the first schedules with a Clone restricted to its cell.
 	Alloc alloc.Allocator
-	// Scenario assigns isolated-execution speed-ups when ApplySpeedups is
-	// set; nil means scenario "None".
-	Scenario      scenario.Scenario
-	ApplySpeedups bool
+	// Scenario assigns isolated-execution speed-ups, which apply under every
+	// policy but the Baseline (engine.EffectiveRuntime); nil means scenario
+	// "None".
+	Scenario scenario.Scenario
 	// Window is the EASY backfill lookahead; 0 means the paper's default.
 	Window int
 	// DisableBackfill reverts to pure FIFO service.
 	DisableBackfill bool
 	// OnFailure picks what happens to running jobs hit by POST /v1/fail:
-	// requeue (default), kill, or shrink (shrink re-places malleable jobs
-	// on the surviving fabric; it requires Elastic and falls back to
-	// requeue for rigid jobs).
+	// requeue (default), kill, or shrink (shrink re-places jobs that declare
+	// min_nodes on the surviving fabric and requeues rigid jobs).
 	OnFailure engine.FailurePolicy
-	// Elastic enables the engines' malleability moves (shrink/grow/preempt
-	// and deadline admission verdicts, DESIGN.md §18) and the per-job
-	// elastic fields on POST /v1/jobs. Jobs that declare no elastic fields
-	// schedule exactly as on a non-elastic daemon.
-	Elastic bool
 	// VirtualClock fast-forwards through events instead of tracking wall
 	// time; use it to replay traces.
 	VirtualClock bool
@@ -126,9 +120,6 @@ type Config struct {
 	// IngestQueue bounds accepted-but-unapplied operations per lane; a full
 	// queue sheds new work with 429. 0 means the default (4096).
 	IngestQueue int
-	// MaxBatch bounds how many queued operations one engine tick applies.
-	// 0 means the default (256).
-	MaxBatch int
 	// Shards splits the fabric into this many per-cell engines (lanes).
 	// 0 or 1 means one engine over the whole fabric.
 	Shards int
@@ -136,7 +127,8 @@ type Config struct {
 
 const (
 	defaultIngestQueue = 4096
-	defaultMaxBatch    = 256
+	// maxBatch bounds how many queued operations one engine tick applies.
+	maxBatch = 256
 	// publishEveryStepsVirtual bounds snapshot staleness during long
 	// virtual-clock replays: mid-replay, readers are at most this many
 	// events behind.
@@ -207,9 +199,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IngestQueue <= 0 {
 		cfg.IngestQueue = defaultIngestQueue
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -247,20 +236,16 @@ func New(cfg Config) (*Server, error) {
 			a.State().RestrictToPods(c.PodLo, c.PodHi)
 		}
 		eng, err := engine.New(engine.Config{
-			Alloc:            a,
-			Scenario:         sc,
-			Window:           cfg.Window,
-			DisableBackfill:  cfg.DisableBackfill,
-			ApplySpeedups:    cfg.ApplySpeedups,
-			OnFailure:        cfg.OnFailure,
-			Elastic:          cfg.Elastic,
-			MeasureAllocTime: true,
-			TotalNodes:       c.Nodes(tree),
+			Alloc:           a,
+			Scenario:        sc,
+			Window:          cfg.Window,
+			DisableBackfill: cfg.DisableBackfill,
+			OnFailure:       cfg.OnFailure,
 		})
 		if err != nil {
 			return nil, err
 		}
-		s.lanes[i] = newLane(i, c, eng, cfg.VirtualClock, cfg.NowFunc, cfg.IngestQueue, cfg.MaxBatch)
+		s.lanes[i] = newLane(i, c, eng, cfg.VirtualClock, cfg.NowFunc, cfg.IngestQueue)
 	}
 	// The coordinator exists before any lane loop starts. Its run goroutine
 	// just blocks on the wake channel until the first wide submit.
@@ -470,9 +455,9 @@ type submitRequest struct {
 	Size    int     `json:"size"`
 	Runtime float64 `json:"runtime"`
 	Arrival float64 `json:"arrival"`
-	// Elastic fields (Config.Elastic only): a malleable node-count range,
-	// a preemption priority, and an absolute virtual-time deadline. All
-	// default to the rigid zero values.
+	// Elastic fields: a malleable node-count range, a preemption priority,
+	// and an absolute virtual-time deadline. All default to the rigid zero
+	// values.
 	MinNodes int     `json:"min_nodes"`
 	MaxNodes int     `json:"max_nodes"`
 	Priority int     `json:"priority"`
@@ -495,9 +480,6 @@ func (s *Server) validateSubmit(req *submitRequest) error {
 		return errors.New("id must be non-negative")
 	}
 	if req.MinNodes != 0 || req.MaxNodes != 0 || req.Priority != 0 || req.Deadline != 0 {
-		if !s.cfg.Elastic {
-			return errors.New("elastic fields require an elastic daemon (-elastic)")
-		}
 		if req.MinNodes < 0 || req.MaxNodes < 0 {
 			return errors.New("min_nodes and max_nodes must be non-negative")
 		}

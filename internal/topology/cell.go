@@ -38,6 +38,10 @@ func (s *State) podHi() int {
 // range when RestrictToPods was never called.
 func (s *State) CellRange() (lo, hi int) { return s.podLo(), s.podHi() }
 
+// CellNodes returns the number of compute nodes in the state's cell: the
+// whole fabric unless RestrictToPods confined it.
+func (s *State) CellNodes() int { return (s.podHi() - s.podLo()) * s.Tree.PodNodes() }
+
 // RestrictToPods confines the state to the contiguous pod range [lo, hi):
 // every node, leaf uplink, and spine uplink of the pods outside the range is
 // consumed by OfflineOwner, and cell-spanning failure kinds (spine-switch)

@@ -18,8 +18,8 @@ func TestRestrictToPodsConsumesOutOfCellPods(t *testing.T) {
 		t.Fatalf("invariants after restriction: %v", err)
 	}
 	wantFree := 3 * tree.PodNodes()
-	if s.FreeNodes() != wantFree {
-		t.Fatalf("FreeNodes = %d, want %d", s.FreeNodes(), wantFree)
+	if s.FreeNodes() != wantFree || s.CellNodes() != wantFree {
+		t.Fatalf("FreeNodes = %d, CellNodes = %d, want %d", s.FreeNodes(), s.CellNodes(), wantFree)
 	}
 	for pod := 0; pod < tree.Pods; pod++ {
 		in := pod >= 2 && pod < 5
@@ -59,8 +59,8 @@ func TestRestrictToPodsFullRangeIsNoOp(t *testing.T) {
 	if s.FreeNodes() != tree.Nodes() {
 		t.Fatalf("full-range restriction consumed nodes: free=%d", s.FreeNodes())
 	}
-	if lo, hi := s.CellRange(); lo != 0 || hi != tree.Pods {
-		t.Fatalf("CellRange = [%d, %d), want full range", lo, hi)
+	if lo, hi := s.CellRange(); lo != 0 || hi != tree.Pods || s.CellNodes() != tree.Nodes() {
+		t.Fatalf("CellRange = [%d, %d) with %d nodes, want the full range", lo, hi, s.CellNodes())
 	}
 }
 
